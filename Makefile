@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet test race fuzz-smoke bench-smoke bench-gate bench-record service-smoke chaos-smoke cluster-smoke ha-smoke study-smoke load-smoke obs-artifacts
+.PHONY: ci build fmt vet test flake-guard race fuzz-smoke bench-smoke bench-gate bench-record service-smoke chaos-smoke cluster-smoke ha-smoke study-smoke load-smoke obs-artifacts
 
-ci: build fmt vet test race fuzz-smoke bench-smoke bench-gate service-smoke chaos-smoke cluster-smoke ha-smoke study-smoke load-smoke obs-artifacts
+ci: build fmt vet test flake-guard race fuzz-smoke bench-smoke bench-gate service-smoke chaos-smoke cluster-smoke ha-smoke study-smoke load-smoke obs-artifacts
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,14 @@ vet:
 
 test:
 	$(GO) test -shuffle=on -timeout 30m ./...
+
+# Ordering races that fail one run in five (a terminal journal write
+# racing the job's Done channel, a breaker cooldown shorter than one
+# request, the coordinator's progress streams) must fail the gate, not
+# surface as a rare flake.
+flake-guard:
+	$(GO) test ./internal/service/ -run 'TestJournalRecoveryReRunsLostJobs$$|TestHTTPHealthzDegradedAndRecovery$$' -count=40
+	$(GO) test ./internal/cluster/ -run '^TestStream' -count=40
 
 race:
 	$(GO) test -race -timeout 50m ./...

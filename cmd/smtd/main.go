@@ -122,8 +122,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	healthInterval := fs.Duration("health-interval", 0, "coordinator: worker health/telemetry probe interval (0: default 500ms)")
 	probeTimeout := fs.Duration("probe-timeout", 0, "coordinator: per-probe deadline; slow-but-healthy workers are not strikes (0: max(2s, 2x health-interval))")
 	stealMargin := fs.Int("steal-margin", 0, "coordinator: outstanding-jobs divergence before work stealing (0: default 2)")
-	pollInterval := fs.Duration("poll-interval", 0, "coordinator: remote-job progress poll interval (0: default 75ms)")
-	pollJitter := fs.Float64("poll-jitter", 0, "coordinator: poll spread as a fraction of -poll-interval (0: default 0.2; negative: none)")
 	peer := fs.String("peer", "", "coordinator: run as half of an HA pair; the other coordinator's address (requires -coordinator and -store)")
 	leaseTTL := fs.Duration("lease-ttl", 2*time.Second, "coordinator HA: leadership lease window; failover detection is bounded by this")
 	join := fs.String("join", "", "worker: comma-separated coordinator addresses to heartbeat registrations to")
@@ -177,8 +175,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			HealthInterval: *healthInterval,
 			ProbeTimeout:   *probeTimeout,
 			StealMargin:    *stealMargin,
-			PollInterval:   *pollInterval,
-			PollJitter:     *pollJitter,
 			Tenants:        tenants,
 		})
 	}

@@ -229,9 +229,7 @@ func TestChaosWorkerKillResumesFromSharedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	a := startStoreWorker(t, "a", dir, 2000)
 	b := startStoreWorker(t, "b", dir, 2000)
-	cfg := fastCfg()
-	cfg.PollFailures = 3
-	c := New(cfg)
+	c := New(fastCfg())
 	defer c.Close()
 	c.AddWorker(a.remote())
 	c.AddWorker(b.remote())

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
@@ -49,16 +48,6 @@ type Config struct {
 	// StealMinWait is the absolute queue-wait floor below which EWMA
 	// divergence is noise, not overload (<= 0 → 200ms).
 	StealMinWait time.Duration
-	// PollInterval paces remote-job progress polling (<= 0 → 75ms).
-	PollInterval time.Duration
-	// PollJitter spreads each poll wait uniformly over
-	// PollInterval·[1−j, 1+j], so a coordinator fronting many groups
-	// does not hit every worker in lockstep (0 → 0.2; negative →
-	// jitter off; capped at 1).
-	PollJitter float64
-	// PollFailures is how many consecutive poll errors on a group's
-	// worker trigger checkpoint-migration to a survivor (<= 0 → 3).
-	PollFailures int
 	// Tenants, when set, makes the coordinator enforce per-tenant
 	// job/cell quotas against cluster-wide in-flight totals (typically
 	// loaded from the same -tenants file the workers use). Nil admits
@@ -74,8 +63,8 @@ type Config struct {
 	Journal *RJournal
 	// OnForward, when set, is called exactly once: on this coordinator's
 	// first successful interaction with a worker on behalf of a job
-	// (submit accepted, or an adopted group's first status poll). The HA
-	// layer uses it to timestamp the end of a failover window.
+	// (submit accepted, or the first event of an adopted group's stream).
+	// The HA layer uses it to timestamp the end of a failover window.
 	OnForward func()
 	// Dial constructs the Worker handle for a discovered name/addr pair
 	// (register endpoint, journal adoption). Nil → NewRemote; tests
@@ -102,39 +91,22 @@ func (c *Config) fill() {
 	if c.StealMinWait <= 0 {
 		c.StealMinWait = 200 * time.Millisecond
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 75 * time.Millisecond
-	}
-	switch {
-	case c.PollJitter == 0:
-		c.PollJitter = 0.2
-	case c.PollJitter < 0:
-		c.PollJitter = 0
-	case c.PollJitter > 1:
-		c.PollJitter = 1
-	}
-	if c.PollFailures <= 0 {
-		c.PollFailures = 3
-	}
 }
 
-// pollDelay is one jittered poll wait: PollInterval scaled by a
-// uniform draw from [1−j, 1+j]. Each wait draws independently, so
-// group pollers that start together decorrelate within a few rounds.
-func (c *Config) pollDelay() time.Duration {
-	if c.PollJitter == 0 {
-		return c.PollInterval
-	}
-	f := 1 + c.PollJitter*(2*rand.Float64()-1)
-	return time.Duration(float64(c.PollInterval) * f)
-}
+// retryWait paces the in-place submit retries (a worker's Retry-After
+// may stretch it, bounded) and the re-dials of a broken progress stream.
+const retryWait = 75 * time.Millisecond
 
 // member is one registered worker plus the coordinator's view of it:
 // liveness from the health loop and the last telemetry snapshot the
 // steal heuristic and metric aggregates read.
 type member struct {
-	w       Worker
-	alive   bool
+	w     Worker
+	alive bool
+	// live is cancelled when the worker is declared dead, closing every
+	// progress stream to it: a hung connection cannot outlive an eviction.
+	live    context.Context
+	kill    context.CancelFunc
 	fails   int
 	stats   service.Metrics
 	statsOK bool
@@ -152,8 +124,7 @@ type group struct {
 	idxs     []int
 	worker   string // current assignee (may change across migrations)
 	remoteID string // current remote job ID ("" until submitted)
-	adopted  bool   // placement journaled by a previous leader: resume polling, don't re-submit
-	done     bool
+	adopted  bool   // placement journaled by a previous leader: resubscribe, don't re-submit
 }
 
 // cjob is a coordinator job: the client-visible tracker plus the fan-out
@@ -163,7 +134,16 @@ type cjob struct {
 	mu      sync.Mutex
 	groups  []*group
 	pending int
-	cancel  bool // client requested cancellation
+	// cancelled is done once the client cancels; each group forwards it
+	// to its worker at once.
+	cancelled context.Context
+	cancel    context.CancelFunc
+}
+
+func newCJob(tracker *service.Job) *cjob {
+	cj := &cjob{tracker: tracker}
+	cj.cancelled, cj.cancel = context.WithCancel(context.Background())
+	return cj
 }
 
 // Coordinator fronts a fleet of worker smtds behind the single-daemon
@@ -241,18 +221,18 @@ func (c *Coordinator) AddWorker(w Worker) {
 	c.mu.Lock()
 	m, ok := c.members[w.Name()]
 	if !ok {
-		c.members[w.Name()] = &member{w: w, alive: true, lastSeen: time.Now()}
+		m = &member{}
+		c.members[w.Name()] = m
+	}
+	// A re-registration is a live worker announcing itself: reset the
+	// failure count and adopt the (possibly new) address.
+	m.w = w
+	m.fails = 0
+	m.lastSeen = time.Now()
+	if !m.alive {
+		m.alive = true
+		m.live, m.kill = context.WithCancel(c.baseCtx)
 		c.registrations++
-	} else {
-		// A re-registration is a live worker announcing itself: reset the
-		// failure count and adopt the (possibly new) address.
-		m.w = w
-		m.fails = 0
-		m.lastSeen = time.Now()
-		if !m.alive {
-			m.alive = true
-			c.registrations++
-		}
 	}
 	c.ring.Add(w.Name())
 	c.mu.Unlock()
@@ -274,6 +254,7 @@ func (c *Coordinator) RemoveWorker(name string) {
 func (c *Coordinator) markDeadLocked(name string) {
 	if m, ok := c.members[name]; ok && m.alive {
 		m.alive = false
+		m.kill()
 		c.workersLost++
 	}
 	c.ring.Remove(name)
@@ -286,8 +267,8 @@ func (c *Coordinator) markDeadLocked(name string) {
 
 // healthLoop probes every member each interval: liveness via /healthz,
 // telemetry via /v1/stats. HealthFailures consecutive failures remove
-// the worker from the ring — group goroutines watching their own polls
-// migrate the in-flight work.
+// the worker from the ring and close its progress streams — the group
+// goroutines following them migrate the in-flight work.
 func (c *Coordinator) healthLoop() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.HealthInterval)
@@ -546,7 +527,7 @@ func (c *Coordinator) Submit(specs []service.CellSpec, opts service.SubmitOption
 	j.Priority = opts.Priority
 	j.Deadline = opts.Deadline
 	j.Tenant = tn
-	cj := &cjob{tracker: j}
+	cj := newCJob(j)
 
 	// Group cells by ring owner of their content label, then let the
 	// steal heuristic reroute whole groups.
@@ -674,9 +655,9 @@ func (cj *cjob) failGroup(g *group, msg string) {
 	}
 }
 
-// runGroup drives one group to completion: submit to its worker, poll
-// progress (mirroring per-cell state into the tracker), fetch results
-// when terminal — and, when the worker dies mid-flight, migrate the
+// runGroup drives one group to completion: submit to its worker, follow
+// its progress stream, fetch results when it ends — and, when the
+// worker dies mid-flight, migrate the
 // group to a survivor, which resumes checkpointed cells from the shared
 // store instead of cycle zero.
 func (c *Coordinator) runGroup(cj *cjob, g *group) {
@@ -686,10 +667,7 @@ func (c *Coordinator) runGroup(cj *cjob, g *group) {
 		if attempt > 0 {
 			// A previous worker died (or shed backpressure): re-place the
 			// group on another member, preferring the ring's new owner view.
-			cj.mu.Lock()
-			cancelled := cj.cancel
-			cj.mu.Unlock()
-			if cancelled {
+			if cj.cancelled.Err() != nil {
 				cj.failGroup(g, "worker lost after cancellation")
 				return
 			}
@@ -724,14 +702,15 @@ func (c *Coordinator) runGroup(cj *cjob, g *group) {
 	cj.failGroup(g, "cluster: group migration budget exhausted")
 }
 
-// worker returns the (current) Worker handle for name, nil if unknown.
-func (c *Coordinator) worker(name string) Worker {
+// worker returns the current handle of a live member and the context
+// its eviction cancels; nil if the member is unknown or dead.
+func (c *Coordinator) worker(name string) (Worker, context.Context) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if m, ok := c.members[name]; ok {
-		return m.w
+	if m, ok := c.members[name]; ok && m.alive {
+		return m.w, m.live
 	}
-	return nil
+	return nil, nil
 }
 
 // runGroupOn runs the group on its currently-assigned worker. done is
@@ -740,22 +719,18 @@ func (c *Coordinator) worker(name string) Worker {
 // distinguishes a busy worker shedding load (leave it on the ring, just
 // route around it) from a dead one (mark it lost and migrate).
 func (c *Coordinator) runGroupOn(cj *cjob, g *group) (done, backpressured bool) {
-	w := c.worker(g.worker)
+	w, live := c.worker(g.worker)
 	if w == nil {
 		return false, false
 	}
-	req := cj.groupReq(g)
-
-	var remoteID string
-	if g.adopted && g.remoteID != "" {
-		// Journal-adopted placement from the previous leader: the remote
-		// job is already running on the worker, so re-adopt by resuming
-		// the poll loop instead of re-forwarding the cells.
-		remoteID = g.remoteID
-	} else {
+	// A journal-adopted placement from the previous leader is already
+	// running on the worker: resubscribe to it instead of re-forwarding.
+	if !g.adopted || g.remoteID == "" {
+		req := cj.groupReq(g)
 		attemptKey := groupIdemKey(cj.tracker.ID, g, req)
 		// Submit with a couple of in-place retries (the idempotency key
 		// makes a lost 202 harmless), then declare the worker suspect.
+		var remoteID string
 		var err error
 		for try := 0; try < 3; try++ {
 			sctx, cancel := context.WithTimeout(c.baseCtx, 10*time.Second)
@@ -764,7 +739,7 @@ func (c *Coordinator) runGroupOn(cj *cjob, g *group) (done, backpressured bool) 
 			if err == nil {
 				break
 			}
-			wait := c.cfg.pollDelay()
+			wait := retryWait
 			// A well-formed 4xx refusal comes from a healthy worker; never
 			// mark it dead — the migration loop replaying the same refusal
 			// across the fleet would otherwise kill every live worker in
@@ -812,72 +787,67 @@ func (c *Coordinator) runGroupOn(cj *cjob, g *group) (done, backpressured bool) 
 	for _, i := range g.idxs {
 		cj.tracker.MarkCellRunning(i)
 	}
-
-	// Poll until the remote job is terminal. Each wait re-draws its
-	// jitter, so concurrent group pollers spread their status requests
-	// instead of hammering workers in phase.
-	fails := 0
-	for {
-		select {
-		case <-c.baseCtx.Done():
-			cj.failGroup(g, "coordinator shut down")
-			return true, false
-		case <-time.After(c.cfg.pollDelay()):
-		}
-		// Forward a client cancellation exactly once per assignment.
-		cj.mu.Lock()
-		wantCancel := cj.cancel
-		cj.mu.Unlock()
-		if wantCancel {
-			cctx, cancel := context.WithTimeout(c.baseCtx, 5*time.Second)
-			w.Cancel(cctx, remoteID) // idempotent server-side
-			cancel()
-		}
-
-		sctx, cancel := context.WithTimeout(c.baseCtx, 5*time.Second)
-		st, err := w.Status(sctx, remoteID)
-		cancel()
-		if err != nil {
-			fails++
-			if fails >= c.cfg.PollFailures || !c.isAlive(g.worker) {
-				c.mu.Lock()
-				c.markDeadLocked(g.worker)
-				c.mu.Unlock()
-				return false, false
-			}
-			continue
-		}
-		fails = 0
-		c.noteForward() // adopted groups: first successful poll ends the failover window
-		switch st.State {
-		case service.JobDone, service.JobFailed, service.JobCancelled:
-			rctx, cancel := context.WithTimeout(c.baseCtx, 10*time.Second)
-			res, err := w.Result(rctx, remoteID)
-			cancel()
-			if err != nil {
-				// Terminal but unfetchable: treat like a death — the worker
-				// may have crashed between the status and the result.
-				c.mu.Lock()
-				c.markDeadLocked(g.worker)
-				c.mu.Unlock()
-				return false, false
-			}
-			for k, cell := range res.Cells {
-				if k < len(g.idxs) {
-					cj.tracker.RecordCell(g.idxs[k], cell)
-				}
-			}
-			g.done = true
-			return true, false
-		}
-	}
+	return c.follow(cj, g, w, live), false
 }
 
-func (c *Coordinator) isAlive(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.members[name]
-	return ok && m.alive
+// follow streams the group's remote job until it ends, then mirrors its
+// results. A client cancel is forwarded the moment it happens. A broken
+// stream re-dials from the last event seen while the health loop still
+// lists the worker alive; otherwise, or when the worker no longer knows
+// the job, follow reports false and the group goes back for re-placement.
+func (c *Coordinator) follow(cj *cjob, g *group, w Worker, live context.Context) bool {
+	name, id := g.worker, g.remoteID
+	defer context.AfterFunc(cj.cancelled, func() {
+		if w, _ := c.worker(name); w != nil {
+			cctx, cancel := context.WithTimeout(c.baseCtx, 5*time.Second)
+			defer cancel()
+			w.Cancel(cctx, id) // idempotent server-side
+		}
+	})()
+	last := -1
+	for {
+		_, err := w.Follow(live, id, last, func(ev service.Event) {
+			last = ev.Seq
+			c.noteForward() // adopted groups: the replayed history ends the failover window
+		})
+		if err == nil {
+			break
+		}
+		if c.baseCtx.Err() != nil {
+			cj.failGroup(g, "coordinator shut down")
+			return true
+		}
+		if errors.Is(err, ErrJobNotFound) {
+			return false
+		}
+		select {
+		case <-live.Done():
+		case <-time.After(retryWait):
+		}
+		// Re-dial while the health loop lists the worker alive, through its
+		// current handle: a re-registration may have moved its address.
+		if w, live = c.worker(name); w == nil {
+			return false
+		}
+	}
+
+	rctx, cancel := context.WithTimeout(c.baseCtx, 10*time.Second)
+	res, err := w.Result(rctx, id)
+	cancel()
+	if err != nil {
+		// Ended but unfetchable: treat like a death — the worker may have
+		// crashed between the end event and the result.
+		c.mu.Lock()
+		c.markDeadLocked(name)
+		c.mu.Unlock()
+		return false
+	}
+	for k, cell := range res.Cells {
+		if k < len(g.idxs) {
+			cj.tracker.RecordCell(g.idxs[k], cell)
+		}
+	}
+	return true
 }
 
 // Job looks up a coordinator job's tracker.
@@ -911,10 +881,7 @@ func (c *Coordinator) Cancel(id string) bool {
 	if !ok {
 		return false
 	}
-	cj.mu.Lock()
-	cj.cancel = true
-	cj.mu.Unlock()
-	// The group poll loops forward the cancel on their next tick.
+	cj.cancel()
 	return true
 }
 
@@ -939,15 +906,15 @@ func (c *Coordinator) noteForward() {
 // the promoted standby's first act. Journaled workers go straight onto
 // the ring (heartbeats will confirm them); live jobs get trackers,
 // restored tenant charges and idempotency keys, and group runners that
-// resume polling the journaled remote IDs instead of re-forwarding the
-// cells; jobs that concluded before the failover stay resolvable (state
-// only) for clients polling across the switch.
+// resubscribe to the journaled remote IDs' progress streams instead of
+// re-forwarding the cells; jobs that concluded before the failover stay
+// resolvable (state only) for clients polling across the switch.
 func (c *Coordinator) Adopt(st *RoutingState) {
 	if st == nil {
 		return
 	}
 	for _, name := range slices.Sorted(maps.Keys(st.Workers)) {
-		if c.worker(name) == nil {
+		if w, _ := c.worker(name); w == nil {
 			c.AddWorker(c.dial(name, st.Workers[name]))
 		}
 	}
@@ -976,7 +943,7 @@ func (c *Coordinator) adoptJob(id string, js *JobSnap) {
 	j.Priority = js.Rec.Priority
 	j.Deadline = js.Rec.Deadline
 	j.Tenant = js.Rec.Tenant
-	cj := &cjob{tracker: j}
+	cj := newCJob(j)
 
 	if js.Done {
 		// Concluded before the failover: keep the terminal state visible

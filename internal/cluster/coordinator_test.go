@@ -84,6 +84,25 @@ func (f *fakeWorker) Status(_ context.Context, id string) (service.JobStatus, er
 	return service.JobStatus{ID: id, State: res.State}, nil
 }
 
+// Follow replays a finished job's history (its running transition) and
+// returns its end state at once: the fake's jobs finish on submit.
+func (f *fakeWorker) Follow(_ context.Context, id string, since int, onEvent func(service.Event)) (string, error) {
+	f.mu.Lock()
+	res, ok := f.jobs[id]
+	dead := f.dead
+	f.mu.Unlock()
+	if dead {
+		return "", fmt.Errorf("%s: connection refused", f.name)
+	}
+	if !ok {
+		return "", fmt.Errorf("%w: %s", ErrJobNotFound, id)
+	}
+	if since < 0 {
+		onEvent(service.Event{Seq: 0, Type: "job", Job: id, State: service.JobRunning})
+	}
+	return res.State, nil
+}
+
 func (f *fakeWorker) Result(_ context.Context, id string) (service.JobResult, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -144,12 +163,19 @@ func (f *fakeWorker) die() {
 	f.mu.Unlock()
 }
 
+// alive reports whether the coordinator's topology lists name as live.
+func alive(c *Coordinator, name string) bool {
+	for _, w := range c.Topology().Workers {
+		if w.Name == name {
+			return w.Alive
+		}
+	}
+	return false
+}
+
 // fastCfg keeps coordinator control loops test-speed.
 func fastCfg() Config {
-	return Config{
-		HealthInterval: 20 * time.Millisecond,
-		PollInterval:   5 * time.Millisecond,
-	}
+	return Config{HealthInterval: 20 * time.Millisecond}
 }
 
 // specOwnedBy finds a valid stream cell whose label the ring assigns to
@@ -268,9 +294,7 @@ func TestNoStealWhenBalanced(t *testing.T) {
 // A worker that accepts a job and then stops answering loses the group:
 // the coordinator migrates it to a survivor and the job still finishes.
 func TestWorkerDeathMigratesGroup(t *testing.T) {
-	cfg := fastCfg()
-	cfg.PollFailures = 2
-	c := New(cfg)
+	c := New(fastCfg())
 	defer c.Close()
 	dying, survivor := newFakeWorker("dying"), newFakeWorker("survivor")
 	c.AddWorker(dying)
@@ -282,7 +306,7 @@ func TestWorkerDeathMigratesGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fake finishes instantly, so the submit has landed by the time
-	// Submit returns; kill the worker under the coordinator's poller.
+	// Submit returns; kill the worker under the coordinator's stream.
 	dying.die()
 	waitJobDone(t, j)
 	if state, msg := j.State(); state != service.JobDone {
@@ -303,9 +327,7 @@ func TestWorkerDeathMigratesGroup(t *testing.T) {
 // With every worker gone mid-job and none returning, the group fails
 // with an explicit cause instead of hanging.
 func TestDeathWithNoSurvivorFailsExplicitly(t *testing.T) {
-	cfg := fastCfg()
-	cfg.PollFailures = 2
-	c := New(cfg)
+	c := New(fastCfg())
 	defer c.Close()
 	only := newFakeWorker("only")
 	c.AddWorker(only)

@@ -233,7 +233,7 @@ func (n *HANode) promote(term uint64, prev LeaseState, hadPrev bool) {
 	}
 	n.mu.Unlock()
 	for name, e := range beats {
-		if coord.worker(name) == nil && time.Since(e.seen) < 5*time.Second {
+		if w, _ := coord.worker(name); w == nil && time.Since(e.seen) < 5*time.Second {
 			coord.AddWorker(coord.dial(name, e.addr))
 		}
 	}

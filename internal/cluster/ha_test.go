@@ -32,7 +32,7 @@ func TestSlowWorkerSurvivesProbes(t *testing.T) {
 	// Under the old behaviour (probe deadline == HealthInterval) three
 	// ticks were enough to evict; give it plenty.
 	time.Sleep(500 * time.Millisecond)
-	if !c.isAlive("slow") {
+	if !alive(c, "slow") {
 		t.Fatal("slow-but-successful worker was evicted by the health prober")
 	}
 
@@ -40,7 +40,7 @@ func TestSlowWorkerSurvivesProbes(t *testing.T) {
 	// workers: transport errors must still strike.
 	w.die()
 	deadline := time.Now().Add(10 * time.Second)
-	for c.isAlive("slow") {
+	for alive(c, "slow") {
 		if time.Now().After(deadline) {
 			t.Fatal("dead worker never evicted")
 		}
@@ -81,7 +81,7 @@ func TestAdoptResumesLiveGroupWithoutResubmit(t *testing.T) {
 	seedJournal(t, dir, spec, true)
 
 	// The remote job already lives on the worker; the promoted
-	// coordinator must poll it, not forward a duplicate.
+	// coordinator must resubscribe to it, not forward a duplicate.
 	w := newFakeWorker("w1")
 	w.jobs["w1-j1"] = service.JobResult{ID: "w1-j1", State: service.JobDone,
 		Cells: []service.CellResult{{Index: 0, Label: spec.Label(), State: service.CellDone, CPI: []float64{1}}}}
@@ -111,7 +111,7 @@ func TestAdoptResumesLiveGroupWithoutResubmit(t *testing.T) {
 	submitted := w.submitted
 	w.mu.Unlock()
 	if submitted != 0 {
-		t.Fatalf("adoption re-forwarded the group (%d submits); want 0 (poll-only re-adoption)", submitted)
+		t.Fatalf("adoption re-forwarded the group (%d submits); want 0 (adoption resubscribes)", submitted)
 	}
 	// The idempotency mapping is restored (live replays would alias) and
 	// the ID sequence continues past the adopted ID instead of colliding.
@@ -223,7 +223,7 @@ func TestHANodepromotesAfterLeaderDeath(t *testing.T) {
 	// "Kill" a leader by seeding its journal and lease and then never
 	// renewing — exactly what SIGKILL leaves on disk. The standby must
 	// steal after expiry, adopt the journaled job, and record a failover
-	// latency once its first poll of the adopted group succeeds.
+	// latency once the adopted group's stream delivers its first event.
 	dir := t.TempDir()
 	spec := adoptSpec()
 	seedJournal(t, dir, spec, true)

@@ -25,7 +25,7 @@ import (
 // the log and replays the deltas. On promotion the standby re-adopts
 // live groups by their journaled remote IDs instead of re-forwarding
 // them — the idempotency keys would make a re-forward safe, but
-// adoption costs one status poll instead of a duplicate submission.
+// adoption costs one stream resubscribe instead of a duplicate submission.
 const (
 	journalFile = "routing.log"
 	ckptFile    = "routing.ckpt"

@@ -50,29 +50,71 @@ func TestTenantForwardedToWorker(t *testing.T) {
 	}
 }
 
-// holdWorker keeps remote jobs "running" until released, so quota tests
-// can pin coordinator jobs in flight deterministically.
+// holdWorker keeps remote jobs running until released: its Follow
+// blocks until release(), a Cancel of that job, or the end of the
+// stream's context, so tests can pin coordinator jobs in flight
+// deterministically.
 type holdWorker struct {
 	*fakeWorker
-	hmu  sync.Mutex
-	hold bool
+	released chan struct{}
+	once     sync.Once
+	// stops holds one channel per remote job, closed by its Cancel.
+	stops map[string]chan struct{}
 }
 
-func (h *holdWorker) Status(ctx context.Context, id string) (service.JobStatus, error) {
-	h.hmu.Lock()
-	holding := h.hold
-	h.hmu.Unlock()
-	if holding {
-		return service.JobStatus{ID: id, State: service.JobRunning}, nil
+func newHoldWorker(name string) *holdWorker {
+	return &holdWorker{fakeWorker: newFakeWorker(name), released: make(chan struct{}), stops: make(map[string]chan struct{})}
+}
+
+// stopLocked returns the job's cancel channel. Callers hold h.mu.
+func (h *holdWorker) stopLocked(id string) chan struct{} {
+	ch, ok := h.stops[id]
+	if !ok {
+		ch = make(chan struct{})
+		h.stops[id] = ch
 	}
-	return h.fakeWorker.Status(ctx, id)
+	return ch
 }
 
-func (h *holdWorker) release() {
-	h.hmu.Lock()
-	h.hold = false
-	h.hmu.Unlock()
+func (h *holdWorker) Follow(ctx context.Context, id string, since int, onEvent func(service.Event)) (string, error) {
+	h.mu.Lock()
+	stop := h.stopLocked(id)
+	h.mu.Unlock()
+	if since < 0 {
+		onEvent(service.Event{Seq: 0, Type: "job", Job: id, State: service.JobRunning})
+	}
+	select {
+	case <-h.released:
+	case <-stop:
+	case <-ctx.Done():
+		return "", ctx.Err()
+	}
+	return h.fakeWorker.Follow(ctx, id, 0, nil)
 }
+
+// Cancel ends a held job as cancelled, the way a worker cancels a
+// running job; a released (finished) job ignores it.
+func (h *holdWorker) Cancel(ctx context.Context, id string) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.cancelled[id] = true
+	select {
+	case <-h.released:
+		return nil
+	default:
+	}
+	if res, ok := h.jobs[id]; ok && res.State == service.JobDone {
+		res.State = service.JobCancelled
+		for i := range res.Cells {
+			res.Cells[i] = service.CellResult{Index: i, Label: res.Cells[i].Label, State: service.CellCancelled, Error: "cancelled"}
+		}
+		h.jobs[id] = res
+		close(h.stopLocked(id))
+	}
+	return nil
+}
+
+func (h *holdWorker) release() { h.once.Do(func() { close(h.released) }) }
 
 func TestCoordinatorQuotas(t *testing.T) {
 	cfg := fastCfg()
@@ -81,7 +123,7 @@ func TestCoordinatorQuotas(t *testing.T) {
 	})
 	c := New(cfg)
 	defer c.Close()
-	hw := &holdWorker{fakeWorker: newFakeWorker("a"), hold: true}
+	hw := newHoldWorker("a")
 	c.AddWorker(hw)
 	sp := specOwnedBy(t, 0, "a", []string{"a"})
 
@@ -139,7 +181,7 @@ func TestWorkerRefusalShedsGroupNotWorker(t *testing.T) {
 	if state != service.JobFailed || !strings.Contains(msg, service.QuotaQueuedJobs) {
 		t.Fatalf("job = %s %q, want failed with the quota cause in the message", state, msg)
 	}
-	if !c.isAlive("a") {
+	if !alive(c, "a") {
 		t.Fatal("healthy worker marked dead after refusing a submission")
 	}
 	if top := c.Topology(); top.WorkersLost != 0 {
@@ -188,7 +230,7 @@ func TestBackpressureRetriedNotFailed(t *testing.T) {
 	if state, msg := j.State(); state != service.JobDone {
 		t.Fatalf("job = %s %q, want done despite transient backpressure", state, msg)
 	}
-	if !c.isAlive("a") {
+	if !alive(c, "a") {
 		t.Fatal("busy worker marked dead after shedding load")
 	}
 	top := c.Topology()
@@ -217,7 +259,7 @@ func TestBackpressureBudgetBounded(t *testing.T) {
 	if state != service.JobFailed || !strings.Contains(msg, "migration budget exhausted") {
 		t.Fatalf("job = %s %q, want failed on the migration budget", state, msg)
 	}
-	if !c.isAlive("a") {
+	if !alive(c, "a") {
 		t.Fatal("shedding worker marked dead")
 	}
 }
@@ -229,7 +271,7 @@ func TestClusterHTTPTenantQuota(t *testing.T) {
 	})
 	c := New(cfg)
 	defer c.Close()
-	hw := &holdWorker{fakeWorker: newFakeWorker("a"), hold: true}
+	hw := newHoldWorker("a")
 	c.AddWorker(hw)
 	defer hw.release()
 	srv := httptest.NewServer(c.Handler())

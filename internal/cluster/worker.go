@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -29,6 +32,13 @@ type Worker interface {
 	Submit(ctx context.Context, req service.SubmitRequest, idemKey string) (string, error)
 	// Status fetches a remote job's progress view.
 	Status(ctx context.Context, id string) (service.JobStatus, error)
+	// Follow streams a remote job's progress: it calls onEvent for each
+	// event after seq since (-1: the whole history, replayed first) and
+	// returns the terminal state once the job ends. An error means the
+	// stream broke first (resume from the last seq seen) or, wrapping
+	// ErrJobNotFound, that the worker does not know the job. ctx bounds
+	// the stream.
+	Follow(ctx context.Context, id string, since int, onEvent func(service.Event)) (string, error)
 	// Result fetches a terminal remote job's full results.
 	Result(ctx context.Context, id string) (service.JobResult, error)
 	// Cancel aborts a remote job (idempotent server-side).
@@ -40,6 +50,10 @@ type Worker interface {
 	// cluster-wide metric aggregates.
 	Stats(ctx context.Context) (service.Metrics, error)
 }
+
+// ErrJobNotFound reports a remote job its worker does not know (a
+// restart without a journal): the group must be placed afresh.
+var ErrJobNotFound = errors.New("cluster: remote job not found")
 
 // Remote is the HTTP Worker: the existing single-daemon job API is the
 // cluster's wire protocol, so a worker smtd needs no cluster-specific
@@ -113,12 +127,19 @@ func apiError(resp *http.Response) error {
 	return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
 }
 
-func (r *Remote) getJSON(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.addr+path, nil)
+// send issues one request to the worker through c; the caller closes
+// the response body.
+func (r *Remote) send(ctx context.Context, c *http.Client, method, path string, body io.Reader, hdr http.Header) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+r.addr+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	resp, err := r.c.Do(req)
+	maps.Copy(req.Header, hdr)
+	return c.Do(req)
+}
+
+func (r *Remote) getJSON(ctx context.Context, path string, v any) error {
+	resp, err := r.send(ctx, r.c, http.MethodGet, path, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -134,15 +155,8 @@ func (r *Remote) Submit(ctx context.Context, sreq service.SubmitRequest, idemKey
 	if err != nil {
 		return "", err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+r.addr+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if idemKey != "" {
-		req.Header.Set("Idempotency-Key", idemKey)
-	}
-	resp, err := r.c.Do(req)
+	resp, err := r.send(ctx, r.c, http.MethodPost, "/v1/jobs", bytes.NewReader(body),
+		http.Header{"Content-Type": {"application/json"}, "Idempotency-Key": {idemKey}})
 	if err != nil {
 		return "", err
 	}
@@ -176,6 +190,50 @@ func (r *Remote) Status(ctx context.Context, id string) (service.JobStatus, erro
 	return st, err
 }
 
+// Follow reads the worker's SSE stream for the job, resuming after
+// since via Last-Event-ID (the service replays everything for -1). It
+// uses a client without an overall timeout: the stream lives as long as
+// the job, and ctx bounds it.
+func (r *Remote) Follow(ctx context.Context, id string, since int, onEvent func(service.Event)) (string, error) {
+	resp, err := r.send(ctx, http.DefaultClient, http.MethodGet, "/v1/jobs/"+id+"/events", nil,
+		http.Header{"Last-Event-Id": {strconv.Itoa(since)}})
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return "", fmt.Errorf("%w: %v", ErrJobNotFound, apiError(resp))
+	}
+	if resp.StatusCode != http.StatusOK {
+		return "", apiError(resp)
+	}
+	var event string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if e, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+			event = e
+			continue
+		}
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		// The end event's {"job","state","error"} fills the same fields.
+		var ev service.Event
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			return "", err
+		}
+		if event == "end" {
+			return ev.State, nil
+		}
+		onEvent(ev)
+	}
+	if err := sc.Err(); err != nil {
+		return "", err
+	}
+	return "", io.ErrUnexpectedEOF
+}
+
 func (r *Remote) Result(ctx context.Context, id string) (service.JobResult, error) {
 	var res service.JobResult
 	err := r.getJSON(ctx, "/v1/jobs/"+id+"/result", &res)
@@ -183,11 +241,7 @@ func (r *Remote) Result(ctx context.Context, id string) (service.JobResult, erro
 }
 
 func (r *Remote) Cancel(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, "http://"+r.addr+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.c.Do(req)
+	resp, err := r.send(ctx, r.c, http.MethodDelete, "/v1/jobs/"+id, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -199,11 +253,7 @@ func (r *Remote) Cancel(ctx context.Context, id string) error {
 }
 
 func (r *Remote) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.addr+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.c.Do(req)
+	resp, err := r.send(ctx, r.c, http.MethodGet, "/healthz", nil, nil)
 	if err != nil {
 		return err
 	}

@@ -131,11 +131,20 @@ func (j *Job) emitLocked(ev Event) {
 // setState transitions the job and emits a job event; entering a
 // terminal state closes Done. Returns false if the job was already
 // terminal (transitions out of terminal states are ignored).
-func (j *Job) setState(state, errMsg string) bool {
+func (j *Job) setState(state, errMsg string) bool { return j.transition(state, errMsg, nil) }
+
+// transition is setState with a commit hook: commit runs under j.mu once
+// the transition is certain and before anyone can observe it (the event,
+// the Done close), so what it persists is durable by the time a waiter
+// wakes. A job that is already terminal runs no commit.
+func (j *Job) transition(state, errMsg string, commit func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.terminalLocked() {
 		return false
+	}
+	if commit != nil {
+		commit()
 	}
 	j.state = state
 	j.errMsg = errMsg

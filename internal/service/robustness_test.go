@@ -410,7 +410,10 @@ func TestHTTPHealthzDegradedAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := store.NewBreaker(st, 1, time.Millisecond)
+	// The cooldown must outlast the first /healthz round trip: that
+	// request's embedded Probe would otherwise close the breaker before
+	// the "degraded" assertion reads it.
+	b := store.NewBreaker(st, 1, 500*time.Millisecond)
 	cache := runner.NewCache().WithTier(b)
 	s := stubService(Config{Cache: cache, Store: st, Breaker: b}, instantDone)
 	defer s.Close()
@@ -436,7 +439,7 @@ func TestHTTPHealthzDegradedAndRecovery(t *testing.T) {
 		t.Fatalf("healthz while degraded: %d %q, want 200 degraded", code, body)
 	}
 
-	// The fault window is exhausted and the cooldown tiny: polling
+	// The fault window is exhausted: once the cooldown passes, polling
 	// healthz must flip it back to ok via the embedded probe.
 	deadline := time.After(5 * time.Second)
 	for {

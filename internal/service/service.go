@@ -684,19 +684,23 @@ func (s *Service) cellControl(ctx context.Context, j *Job, i int) *cellCtl {
 	}
 }
 
-// finish drives j to a terminal state exactly once: counts the outcome
-// and journals it so a restart will not re-run finished work. A no-op
-// if the job is already terminal.
+// finish drives j to a terminal state exactly once: journals the outcome
+// so a restart will not re-run finished work, then counts it. The record
+// is written before Done closes and the end event goes out, so nobody
+// who saw the job end can find it still live in the journal. A no-op if
+// the job is already terminal.
 func (s *Service) finish(j *Job, state, msg string) {
-	if !j.setState(state, msg) {
-		return
-	}
-	s.count(j, state)
+	var journal func()
 	if jl := s.cfg.Journal; jl != nil {
 		// Best-effort: a failed terminal write means the next restart
 		// re-runs a finished (deterministic, cached) job — wasteful but
 		// correct. The journal's error counter records it.
-		jl.write(Record{ID: j.ID, Specs: j.Specs, State: state, Error: msg, Created: time.Now()})
+		journal = func() {
+			jl.write(Record{ID: j.ID, Specs: j.Specs, State: state, Error: msg, Created: time.Now()})
+		}
+	}
+	if j.transition(state, msg, journal) {
+		s.count(j, state)
 	}
 }
 

@@ -131,12 +131,10 @@ type Remote struct {
 	// Worker is the daemon client (cluster.NewRemote or a test fake).
 	Worker interface {
 		Submit(ctx context.Context, req service.SubmitRequest, idemKey string) (string, error)
-		Status(ctx context.Context, id string) (service.JobStatus, error)
+		Follow(ctx context.Context, id string, since int, onEvent func(service.Event)) (string, error)
 		Result(ctx context.Context, id string) (service.JobResult, error)
 		Stats(ctx context.Context) (service.Metrics, error)
 	}
-	// Poll is the status-poll cadence (0 → 250ms).
-	Poll time.Duration
 }
 
 func (r *Remote) Name() string { return "daemon" }
@@ -156,23 +154,10 @@ func (r *Remote) Run(ctx context.Context, cells []service.CellSpec, opt Options)
 	if err != nil {
 		return nil, fmt.Errorf("execute: submit: %w", err)
 	}
-	poll := r.Poll
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	for {
-		st, err := r.Worker.Status(ctx, id)
-		if err != nil {
-			return nil, fmt.Errorf("execute: status %s: %w", id, err)
-		}
-		if st.State == service.JobDone || st.State == service.JobFailed || st.State == service.JobCancelled {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(poll):
-		}
+	// The job's event stream ends when the job does; the results are
+	// fetched the moment it ends.
+	if _, err := r.Worker.Follow(ctx, id, -1, func(service.Event) {}); err != nil {
+		return nil, fmt.Errorf("execute: follow %s: %w", id, err)
 	}
 	res, err := r.Worker.Result(ctx, id)
 	if err != nil {
