@@ -24,11 +24,12 @@ test:
 
 # Ordering races that fail one run in five (a terminal journal write
 # racing the job's Done channel, a breaker cooldown shorter than one
-# request, the coordinator's progress streams) must fail the gate, not
-# surface as a rare flake.
+# request, the coordinator's progress streams, the SSE headers of a
+# still-queued job, the daemon/coordinator edge parity) must fail the
+# gate, not surface as a rare flake.
 flake-guard:
 	$(GO) test ./internal/service/ -run 'TestJournalRecoveryReRunsLostJobs$$|TestHTTPHealthzDegradedAndRecovery$$' -count=40
-	$(GO) test ./internal/cluster/ -run '^TestStream' -count=40
+	$(GO) test ./internal/cluster/ -run '^TestStream|^TestEdge' -count=40
 
 race:
 	$(GO) test -race -timeout 50m ./...

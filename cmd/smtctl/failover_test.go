@@ -7,20 +7,25 @@ import (
 	"strings"
 	"testing"
 
+	"smtexplore/internal/api"
 	"smtexplore/internal/service"
 )
 
+// smtctl builds its -server picker with the default daemon address as
+// the fallback; these pin the behaviour the client relies on.
+func newEndpoints(list string) *api.Endpoints { return api.NewEndpoints(list, "127.0.0.1:8377") }
+
 func TestEndpointsRotateOnTransportError(t *testing.T) {
 	e := newEndpoints("a:1, b:2")
-	if got := e.base(); got != "http://a:1" {
+	if got := e.Base(); got != "http://a:1" {
 		t.Fatalf("initial base %q", got)
 	}
-	e.observe(nil, context.DeadlineExceeded)
-	if got := e.base(); got != "http://b:2" {
+	e.Observe(nil, context.DeadlineExceeded)
+	if got := e.Base(); got != "http://b:2" {
 		t.Fatalf("after transport error base %q, want http://b:2", got)
 	}
-	e.observe(nil, context.DeadlineExceeded)
-	if got := e.base(); got != "http://a:1" {
+	e.Observe(nil, context.DeadlineExceeded)
+	if got := e.Base(); got != "http://a:1" {
 		t.Fatalf("rotation should wrap, got %q", got)
 	}
 }
@@ -31,29 +36,29 @@ func TestEndpointsFollowLeaderRedirect(t *testing.T) {
 		StatusCode: http.StatusServiceUnavailable,
 		Header:     http.Header{"X-Cluster-Leader": []string{"b:2"}},
 	}
-	e.observe(resp, nil)
-	if got := e.base(); got != "http://b:2" {
+	e.Observe(resp, nil)
+	if got := e.Base(); got != "http://b:2" {
 		t.Fatalf("redirect to listed leader: base %q, want http://b:2", got)
 	}
 
 	// A leader outside the -server list is learned, not dropped.
 	resp.Header.Set("X-Cluster-Leader", "c:3")
-	e.observe(resp, nil)
-	if got := e.base(); got != "http://c:3" {
+	e.Observe(resp, nil)
+	if got := e.Base(); got != "http://c:3" {
 		t.Fatalf("redirect to unlisted leader: base %q, want http://c:3", got)
 	}
 
 	// "unknown" (standby with no lease in sight) rotates instead.
 	resp.Header.Set("X-Cluster-Leader", "unknown")
-	e.observe(resp, nil)
-	if got := e.base(); got == "http://c:3" {
+	e.Observe(resp, nil)
+	if got := e.Base(); got == "http://c:3" {
 		t.Fatal("unknown leader should rotate away from the failing endpoint")
 	}
 
 	// 2xx outcomes leave the pick alone.
-	cur := e.base()
-	e.observe(&http.Response{StatusCode: http.StatusOK, Header: http.Header{}}, nil)
-	if got := e.base(); got != cur {
+	cur := e.Base()
+	e.Observe(&http.Response{StatusCode: http.StatusOK, Header: http.Header{}}, nil)
+	if got := e.Base(); got != cur {
 		t.Fatalf("success moved the endpoint: %q -> %q", cur, got)
 	}
 }

@@ -51,6 +51,7 @@ import (
 	"syscall"
 	"time"
 
+	"smtexplore/internal/api"
 	"smtexplore/internal/cluster"
 	"smtexplore/internal/service"
 )
@@ -120,7 +121,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if addrs == "" {
 		addrs = *addr
 	}
-	c := client{ctx: ctx, eps: newEndpoints(addrs), out: out, retry: newRetrier(*maxRetries), timeout: *timeout, tenant: *tenantName}
+	c := client{ctx: ctx, eps: api.NewEndpoints(addrs, "127.0.0.1:8377"), out: out, retry: newRetrier(*maxRetries), timeout: *timeout, tenant: *tenantName}
 	switch rest[0] {
 	case "submit":
 		return c.submit(rest[1:])
@@ -142,7 +143,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 type client struct {
 	ctx     context.Context
-	eps     *endpoints
+	eps     *api.Endpoints
 	out     io.Writer
 	retry   retrier
 	timeout time.Duration
@@ -152,14 +153,14 @@ type client struct {
 
 // base is the URL prefix for the next request — the current pick among
 // the -server endpoints (a single -addr degenerates to one entry).
-func (c client) base() string { return c.eps.base() }
+func (c client) base() string { return c.eps.Base() }
 
 // do sends the request and lets the endpoint picker see the outcome,
 // so transport errors rotate to the next server and standby 503s jump
 // to the advertised leader before the retrier's next attempt.
 func (c client) do(hreq *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultClient.Do(hreq)
-	c.eps.observe(resp, err)
+	c.eps.Observe(resp, err)
 	return resp, err
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"smtexplore/internal/cluster"
 	"smtexplore/internal/store"
@@ -88,7 +87,7 @@ func (c client) studyRun(args []string) error {
 		}
 		backend = execute.NewLocal(st)
 	case "daemon":
-		backend = &execute.Remote{Worker: cluster.NewRemote("daemon", strings.TrimPrefix(c.base(), "http://"))}
+		backend = &execute.Remote{Worker: cluster.NewRemote("daemon", c.eps.Addr())}
 	default:
 		return usage(fs, "unknown backend %q (want local or daemon)", *via)
 	}

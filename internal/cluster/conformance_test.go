@@ -114,7 +114,7 @@ func TestClusterFig1Parity(t *testing.T) {
 	defer c.Close()
 	c.AddWorker(a.remote())
 	c.AddWorker(b.remote())
-	cj, err := c.Submit([]service.CellSpec{{Type: service.TypeHarness, Harness: "fig1"}}, service.SubmitOptions{})
+	cj, err := c.SubmitWith([]service.CellSpec{{Type: service.TypeHarness, Harness: "fig1"}}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestClusterShardsBatchWithValueParity(t *testing.T) {
 			Streams: []service.StreamSpec{{Kind: "fadd", ILP: "max"}, {Kind: "iload", ILP: "med"}},
 		})
 	}
-	j, err := c.Submit(specs, service.SubmitOptions{})
+	j, err := c.SubmitWith(specs, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSharedStoreServesPeerWarmKeys(t *testing.T) {
 
 	// Warm the key through worker a alone.
 	c.AddWorker(a.remote())
-	j1, err := c.Submit([]service.CellSpec{spec}, service.SubmitOptions{})
+	j1, err := c.SubmitWith([]service.CellSpec{spec}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSharedStoreServesPeerWarmKeys(t *testing.T) {
 	// Route the same key to worker b: served from the shared tier.
 	c.RemoveWorker("a")
 	c.AddWorker(b.remote())
-	j2, err := c.Submit([]service.CellSpec{spec}, service.SubmitOptions{})
+	j2, err := c.SubmitWith([]service.CellSpec{spec}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestChaosWorkerKillResumesFromSharedCheckpoint(t *testing.T) {
 	c.AddWorker(b.remote())
 
 	spec := service.CellSpec{Type: service.TypeKernel, Kernel: "mm", Mode: "tlp-fine", Size: 64}
-	j, err := c.Submit([]service.CellSpec{spec}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{spec}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

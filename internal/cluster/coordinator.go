@@ -18,8 +18,8 @@ import (
 
 // ErrNoWorkers reports a submission that cannot be placed because the
 // ring has no live members (HTTP 503: retrying is reasonable — a worker
-// may join or recover).
-var ErrNoWorkers = errors.New("cluster: no live workers")
+// may join or recover). It matches service.ErrUnavailable.
+var ErrNoWorkers = service.Unavailable("cluster: no live workers")
 
 // Config tunes the coordinator. The zero value is production-sane.
 type Config struct {
@@ -454,11 +454,12 @@ func (c *Coordinator) chooseWorker(owner string) string {
 	return idle
 }
 
-// Submit validates a batch, splits it by ring owner (with stealing),
-// forwards the groups to workers, and returns the mirrored job. The
-// same admission shapes as the single daemon: empty batches and bad
-// cells are rejected; no live workers maps to 503.
-func (c *Coordinator) Submit(specs []service.CellSpec, opts service.SubmitOptions) (*service.Job, error) {
+// SubmitWith validates a batch, splits it by ring owner (with
+// stealing), forwards the groups to workers, and returns the mirrored
+// job. The same admission shapes as the single daemon: empty batches,
+// bad cells and bad tenant names are rejected; no live workers maps to
+// 503.
+func (c *Coordinator) SubmitWith(specs []service.CellSpec, opts service.SubmitOptions) (*service.Job, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: empty batch")
 	}

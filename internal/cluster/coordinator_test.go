@@ -216,7 +216,7 @@ func TestSubmitRoutesByRingOwner(t *testing.T) {
 	nodes := []string{"a", "b"}
 	specA := specOwnedBy(t, 0, "a", nodes)
 	specB := specOwnedBy(t, 0, "b", nodes)
-	j, err := c.Submit([]service.CellSpec{specA, specB}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{specA, specB}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestStealFromOverloadedOwner(t *testing.T) {
 	c.AddWorker(idle)
 
 	sp := specOwnedBy(t, 0, "busy", []string{"busy", "idle"})
-	j, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestNoStealWhenBalanced(t *testing.T) {
 	c.AddWorker(b)
 
 	sp := specOwnedBy(t, 0, "a", []string{"a", "b"})
-	j, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestWorkerDeathMigratesGroup(t *testing.T) {
 	c.AddWorker(survivor)
 
 	sp := specOwnedBy(t, 0, "dying", []string{"dying", "survivor"})
-	j, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestDeathWithNoSurvivorFailsExplicitly(t *testing.T) {
 	defer c.Close()
 	only := newFakeWorker("only")
 	c.AddWorker(only)
-	j, err := c.Submit([]service.CellSpec{{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}}}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}}}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestDeathWithNoSurvivorFailsExplicitly(t *testing.T) {
 func TestSubmitWithNoWorkers(t *testing.T) {
 	c := New(fastCfg())
 	defer c.Close()
-	_, err := c.Submit([]service.CellSpec{{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}}}, service.SubmitOptions{})
+	_, err := c.SubmitWith([]service.CellSpec{{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}}}, service.SubmitOptions{})
 	if err != ErrNoWorkers {
 		t.Fatalf("Submit on empty fleet = %v, want ErrNoWorkers", err)
 	}
@@ -369,7 +369,7 @@ func TestSubmitValidatesLikeDaemon(t *testing.T) {
 		{[]service.CellSpec{{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}, Observe: true}}, "no artifact directory"},
 	}
 	for _, tc := range cases {
-		_, err := c.Submit(tc.specs, service.SubmitOptions{})
+		_, err := c.SubmitWith(tc.specs, service.SubmitOptions{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("Submit = %v, want error containing %q", err, tc.want)
 		}
@@ -384,11 +384,11 @@ func TestSubmitIdempotency(t *testing.T) {
 	w := newFakeWorker("a")
 	c.AddWorker(w)
 	sp := service.CellSpec{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}}
-	j1, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{IdemKey: "k1"})
+	j1, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{IdemKey: "k1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{IdemKey: "k1"})
+	j2, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{IdemKey: "k1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestCancelFansOut(t *testing.T) {
 	defer c.Close()
 	w := newFakeWorker("a")
 	c.AddWorker(w)
-	j, err := c.Submit([]service.CellSpec{{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}}}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}}}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"smtexplore/internal/service"
 )
 
 // HA roles.
@@ -361,7 +363,7 @@ func sortedHB(m map[string]hbEntry) []string {
 func (n *HANode) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, n.Topology())
+		service.WriteJSON(w, http.StatusOK, n.Topology())
 	})
 	mux.HandleFunc("POST /v1/cluster/register", n.handleRegister)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
@@ -378,11 +380,11 @@ func (n *HANode) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Addr string `json:"addr"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		service.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Addr == "" {
-		writeError(w, http.StatusBadRequest, "missing addr")
+		service.WriteError(w, http.StatusBadRequest, "missing addr")
 		return
 	}
 	name := req.Name
@@ -396,7 +398,7 @@ func (n *HANode) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if coord != nil {
 		coord.AddWorker(coord.dial(name, req.Addr))
 	}
-	writeJSON(w, http.StatusOK, n.Topology())
+	service.WriteJSON(w, http.StatusOK, n.Topology())
 }
 
 func (n *HANode) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -412,24 +414,24 @@ func (n *HANode) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (n *HANode) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	t := n.Topology()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	p := service.PromWriter{W: w}
 	roleVal := 0
 	if t.Role == RoleLeader {
 		roleVal = 1
 	}
-	fmt.Fprintf(w, "# HELP smtd_ha_leader Whether this coordinator currently leads the pair.\n# TYPE smtd_ha_leader gauge\nsmtd_ha_leader %d\n", roleVal)
-	fmt.Fprintf(w, "# HELP smtd_ha_lease_term Current leadership term observed by this node.\n# TYPE smtd_ha_lease_term gauge\nsmtd_ha_lease_term %d\n", t.LeaseTerm)
-	fmt.Fprintf(w, "# HELP smtd_ha_promotions_total Times this node promoted to leader.\n# TYPE smtd_ha_promotions_total counter\nsmtd_ha_promotions_total %d\n", t.Promotions)
-	fmt.Fprintf(w, "# HELP smtd_ha_demotions_total Times this node demoted to standby.\n# TYPE smtd_ha_demotions_total counter\nsmtd_ha_demotions_total %d\n", t.Demotions)
-	fmt.Fprintf(w, "# HELP smtd_ha_journal_seq Last routing-journal sequence applied or written.\n# TYPE smtd_ha_journal_seq gauge\nsmtd_ha_journal_seq %d\n", t.JournalSeq)
-	fmt.Fprintf(w, "# HELP smtd_ha_standby_lag_bytes Journal bytes seen but not yet applied.\n# TYPE smtd_ha_standby_lag_bytes gauge\nsmtd_ha_standby_lag_bytes %d\n", t.StandbyLagBytes)
-	fmt.Fprintf(w, "# HELP smtd_ha_failover_latency_seconds Lease expiry to first successful forward on the most recent promotion.\n# TYPE smtd_ha_failover_latency_seconds gauge\nsmtd_ha_failover_latency_seconds %g\n", t.FailoverLatencySeconds)
+	p.Gauge("smtd_ha_leader", "Whether this coordinator currently leads the pair.", roleVal)
+	p.Gauge("smtd_ha_lease_term", "Current leadership term observed by this node.", t.LeaseTerm)
+	p.Counter("smtd_ha_promotions_total", "Times this node promoted to leader.", t.Promotions)
+	p.Counter("smtd_ha_demotions_total", "Times this node demoted to standby.", t.Demotions)
+	p.Gauge("smtd_ha_journal_seq", "Last routing-journal sequence applied or written.", t.JournalSeq)
+	p.Gauge("smtd_ha_standby_lag_bytes", "Journal bytes seen but not yet applied.", t.StandbyLagBytes)
+	p.Gauge("smtd_ha_failover_latency_seconds", "Lease expiry to first successful forward on the most recent promotion.", t.FailoverLatencySeconds)
 	n.mu.Lock()
 	coord := n.coord
 	n.mu.Unlock()
 	if coord != nil {
-		// Append the full coordinator families (same package: the HA node
-		// shares the unexported handler). Content-Type is already set.
-		coord.handleMetrics(w, r)
+		// The leader appends its coordinator's families.
+		coord.writeMetrics(p)
 	}
 }
 
@@ -451,7 +453,7 @@ func (n *HANode) handleProxy(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Cluster-Leader", leaderAddr)
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable,
+	service.WriteError(w, http.StatusServiceUnavailable,
 		"not the leader; retry against "+orUnknown(leaderAddr))
 }
 

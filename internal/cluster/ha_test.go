@@ -299,7 +299,7 @@ func TestHANodeStaleLeaderDemotesOnFencedJournal(t *testing.T) {
 
 	// The very next journaled action hits the fence: the submit is
 	// refused (never accepted un-replicated) and the node demotes.
-	_, err = c.Submit([]service.CellSpec{adoptSpec()}, service.SubmitOptions{})
+	_, err = c.SubmitWith([]service.CellSpec{adoptSpec()}, service.SubmitOptions{})
 	if !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("stale leader accepted a submit: err=%v, want ErrLeaseLost", err)
 	}

@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"time"
 
 	"smtexplore/internal/service"
@@ -89,32 +87,13 @@ func (c *Coordinator) Topology() Topology {
 	return t
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// Handler serves the coordinator's HTTP API. The job surface is
-// byte-for-byte the single daemon's (submit/list/status/cancel/events/
-// result/cell result), which is what makes smtctl and every existing
-// client cluster-transparent; /v1/cluster and /v1/cluster/register are
-// the only coordinator-specific additions.
+// Handler serves the coordinator's HTTP API: the job routes a single
+// daemon serves (service.RegisterJobRoutes, the same handler set), which
+// is what makes smtctl and every existing client cluster-transparent,
+// plus /v1/cluster, /v1/cluster/register, /healthz and /metrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", c.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", c.handleResult)
-	mux.HandleFunc("GET /v1/jobs/{id}/cells/{cell}/result", c.handleCellResult)
+	service.RegisterJobRoutes(mux, c)
 	mux.HandleFunc("GET /v1/cluster", c.handleTopology)
 	mux.HandleFunc("POST /v1/cluster/register", c.handleRegister)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -122,145 +101,8 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req service.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	opts := service.SubmitOptions{IdemKey: r.Header.Get("Idempotency-Key"), Priority: req.Priority}
-	// Same precedence as the single daemon: the body field carries the
-	// tenant between machines, the header wins when a client sets both.
-	opts.Tenant = req.Tenant
-	if h := r.Header.Get("X-Tenant"); h != "" {
-		opts.Tenant = h
-	}
-	if req.Deadline != "" {
-		d, err := time.ParseDuration(req.Deadline)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad deadline: "+err.Error())
-			return
-		}
-		opts.Deadline = time.Now().Add(d)
-	}
-	j, err := c.Submit(req.Cells, opts)
-	var quotaErr *service.QuotaError
-	switch {
-	case errors.As(err, &quotaErr):
-		w.Header().Set("Retry-After", c.retryAfter())
-		w.Header().Set("X-Quota-Cause", quotaErr.Cause)
-		writeError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, ErrNoWorkers):
-		// The fleet may be mid-restart; workers re-register on their next
-		// heartbeat, so retrying shortly is the right client move.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case errors.Is(err, ErrLeaseLost):
-		// We were demoted mid-submit: the work was refused before it was
-		// journaled, so the client retries against the new leader.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.Status())
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	var out []service.JobStatus
-	for _, j := range c.Jobs() {
-		out = append(out, j.Status())
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
-}
-
-func (c *Coordinator) job(w http.ResponseWriter, r *http.Request) (*service.Job, bool) {
-	j, ok := c.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
-	}
-	return j, ok
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j, ok := c.job(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Status())
-	}
-}
-
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !c.Cancel(id) {
-		writeError(w, http.StatusNotFound, "unknown job "+id)
-		return
-	}
-	j, _ := c.Job(id)
-	writeJSON(w, http.StatusOK, j.Status())
-}
-
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.job(w, r)
-	if !ok {
-		return
-	}
-	service.ServeJobEvents(w, r, j)
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.job(w, r)
-	if !ok {
-		return
-	}
-	state, errMsg := j.State()
-	switch state {
-	case service.JobDone, service.JobFailed, service.JobCancelled:
-	default:
-		writeError(w, http.StatusConflict, fmt.Sprintf("job %s is %s; results are available once it is terminal", j.ID, state))
-		return
-	}
-	writeJSON(w, http.StatusOK, service.JobResult{ID: j.ID, State: state, Error: errMsg, Cells: j.Results()})
-}
-
-func (c *Coordinator) handleCellResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.job(w, r)
-	if !ok {
-		return
-	}
-	i, err := strconv.Atoi(r.PathValue("cell"))
-	results := j.Results()
-	if err != nil || i < 0 || i >= len(results) {
-		writeError(w, http.StatusNotFound, "unknown cell "+r.PathValue("cell"))
-		return
-	}
-	res := results[i]
-	switch res.State {
-	case service.CellDone, service.CellFailed, service.CellCancelled:
-	default:
-		writeError(w, http.StatusConflict, fmt.Sprintf("cell %d is %s", res.Index, res.State))
-		return
-	}
-	if r.URL.Query().Get("format") == "text" {
-		if res.State != service.CellDone {
-			writeError(w, http.StatusConflict, fmt.Sprintf("cell %d %s: %s", res.Index, res.State, res.Error))
-			return
-		}
-		if res.Text == "" {
-			writeError(w, http.StatusBadRequest, "text format is only available for harness cells")
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, res.Text)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
 func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Topology())
+	service.WriteJSON(w, http.StatusOK, c.Topology())
 }
 
 // handleRegister admits a worker into the fleet: the -join heartbeat
@@ -272,15 +114,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Addr string `json:"addr"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		service.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Addr == "" {
-		writeError(w, http.StatusBadRequest, "missing addr")
+		service.WriteError(w, http.StatusBadRequest, "missing addr")
 		return
 	}
 	c.AddWorker(c.dial(req.Name, req.Addr))
-	writeJSON(w, http.StatusOK, c.Topology())
+	service.WriteJSON(w, http.StatusOK, c.Topology())
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -293,12 +135,17 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleMetrics serves Prometheus text metrics: the coordinator's own
-// smtd_cluster_* family plus fleet-wide sums of the worker counters the
-// smoke tests and dashboards already watch (cells simulated, store
-// traffic, checkpoint/resume accounting) — each from the coordinator's
-// last telemetry snapshot of that worker.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	c.writeMetrics(service.PromWriter{W: w})
+}
+
+// writeMetrics writes the coordinator's own smtd_cluster_* families
+// plus fleet-wide sums of the worker counters the smoke tests and
+// dashboards already watch (cells simulated, store traffic,
+// checkpoint/resume accounting) — each from the coordinator's last
+// telemetry snapshot of that worker.
+func (c *Coordinator) writeMetrics(p service.PromWriter) {
 	c.mu.Lock()
 	t := struct {
 		workers, live                       int
@@ -381,62 +228,53 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(tenantNames)
 	c.mu.Unlock()
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	cnt := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
-	}
-	g("smtd_cluster_workers", "Registered workers.", t.workers)
-	g("smtd_cluster_workers_live", "Workers currently on the ring.", t.live)
-	cnt("smtd_cluster_jobs_done_total", "Coordinator jobs finished successfully.", t.jobsDone)
-	cnt("smtd_cluster_jobs_failed_total", "Coordinator jobs finished failed.", t.jobsFailed)
-	cnt("smtd_cluster_jobs_cancelled_total", "Coordinator jobs cancelled.", t.jobsCancelled)
-	cnt("smtd_cluster_cells_forwarded_total", "Cells forwarded to workers.", t.cellsForwarded)
-	cnt("smtd_cluster_steals_total", "Groups rerouted off overloaded ring owners.", t.steals)
-	cnt("smtd_cluster_jobs_recovered_total", "Groups migrated off dead workers.", t.jobsRecovered)
-	cnt("smtd_cluster_migrated_cells_total", "Cells migrated off dead workers.", t.migratedCells)
-	cnt("smtd_cluster_jobs_adopted_total", "Jobs re-adopted from the routing journal after promotion.", t.jobsAdopted)
-	cnt("smtd_cluster_workers_lost_total", "Workers declared dead.", t.workersLost)
-	cnt("smtd_cluster_registrations_total", "Worker (re-)registrations.", t.registrations)
-	cnt("smtd_cluster_fleet_cells_simulated_total", "Fleet-wide simulator runs (last telemetry).", agg.CellsSimulated)
-	cnt("smtd_cluster_fleet_cells_done_total", "Fleet-wide cells finished (last telemetry).", agg.CellsDone)
-	cnt("smtd_cluster_fleet_store_hits_total", "Fleet-wide shared-store hits (last telemetry).", agg.StoreHits)
-	cnt("smtd_cluster_fleet_store_writes_total", "Fleet-wide shared-store writes (last telemetry).", agg.StoreWrites)
-	cnt("smtd_cluster_fleet_checkpoints_written_total", "Fleet-wide checkpoints written (last telemetry).", agg.CheckpointsWritten)
-	cnt("smtd_cluster_fleet_checkpoints_restored_total", "Fleet-wide checkpoints restored (last telemetry).", agg.CheckpointsRestored)
-	cnt("smtd_cluster_fleet_resume_cycles_saved_total", "Fleet-wide cycles resumed instead of re-simulated (last telemetry).", agg.ResumeCyclesSaved)
+	p.Gauge("smtd_cluster_workers", "Registered workers.", t.workers)
+	p.Gauge("smtd_cluster_workers_live", "Workers currently on the ring.", t.live)
+	p.Counter("smtd_cluster_jobs_done_total", "Coordinator jobs finished successfully.", t.jobsDone)
+	p.Counter("smtd_cluster_jobs_failed_total", "Coordinator jobs finished failed.", t.jobsFailed)
+	p.Counter("smtd_cluster_jobs_cancelled_total", "Coordinator jobs cancelled.", t.jobsCancelled)
+	p.Counter("smtd_cluster_cells_forwarded_total", "Cells forwarded to workers.", t.cellsForwarded)
+	p.Counter("smtd_cluster_steals_total", "Groups rerouted off overloaded ring owners.", t.steals)
+	p.Counter("smtd_cluster_jobs_recovered_total", "Groups migrated off dead workers.", t.jobsRecovered)
+	p.Counter("smtd_cluster_migrated_cells_total", "Cells migrated off dead workers.", t.migratedCells)
+	p.Counter("smtd_cluster_jobs_adopted_total", "Jobs re-adopted from the routing journal after promotion.", t.jobsAdopted)
+	p.Counter("smtd_cluster_workers_lost_total", "Workers declared dead.", t.workersLost)
+	p.Counter("smtd_cluster_registrations_total", "Worker (re-)registrations.", t.registrations)
+	p.Counter("smtd_cluster_fleet_cells_simulated_total", "Fleet-wide simulator runs (last telemetry).", agg.CellsSimulated)
+	p.Counter("smtd_cluster_fleet_cells_done_total", "Fleet-wide cells finished (last telemetry).", agg.CellsDone)
+	p.Counter("smtd_cluster_fleet_store_hits_total", "Fleet-wide shared-store hits (last telemetry).", agg.StoreHits)
+	p.Counter("smtd_cluster_fleet_store_writes_total", "Fleet-wide shared-store writes (last telemetry).", agg.StoreWrites)
+	p.Counter("smtd_cluster_fleet_checkpoints_written_total", "Fleet-wide checkpoints written (last telemetry).", agg.CheckpointsWritten)
+	p.Counter("smtd_cluster_fleet_checkpoints_restored_total", "Fleet-wide checkpoints restored (last telemetry).", agg.CheckpointsRestored)
+	p.Counter("smtd_cluster_fleet_resume_cycles_saved_total", "Fleet-wide cycles resumed instead of re-simulated (last telemetry).", agg.ResumeCyclesSaved)
 
-	if len(tenantNames) > 0 {
-		row := func(name, labels string, v any) {
-			fmt.Fprintf(w, "%s{%s} %v\n", name, labels, v)
-		}
-		fmt.Fprintln(w, "# HELP smtd_cluster_tenant_jobs_admitted_total Fleet-wide jobs admitted per tenant (last telemetry).\n# TYPE smtd_cluster_tenant_jobs_admitted_total counter")
+	if len(tenantNames) == 0 {
+		return
+	}
+	family := func(name, typ, help string, samples func(tn string, ta *tenantAgg)) {
+		p.Family(name, typ, help)
 		for _, tn := range tenantNames {
-			row("smtd_cluster_tenant_jobs_admitted_total", fmt.Sprintf("tenant=%q", tn), tenants[tn].jobsAdmitted)
-		}
-		fmt.Fprintln(w, "# HELP smtd_cluster_tenant_cells_total Fleet-wide finished cells per tenant and state (last telemetry).\n# TYPE smtd_cluster_tenant_cells_total counter")
-		for _, tn := range tenantNames {
-			row("smtd_cluster_tenant_cells_total", fmt.Sprintf("tenant=%q,state=\"done\"", tn), tenants[tn].cellsDone)
-			row("smtd_cluster_tenant_cells_total", fmt.Sprintf("tenant=%q,state=\"failed\"", tn), tenants[tn].cellsFailed)
-		}
-		fmt.Fprintln(w, "# HELP smtd_cluster_tenant_cycles_charged_total Fleet-wide simulated cycles charged per tenant (last telemetry).\n# TYPE smtd_cluster_tenant_cycles_charged_total counter")
-		for _, tn := range tenantNames {
-			row("smtd_cluster_tenant_cycles_charged_total", fmt.Sprintf("tenant=%q", tn), tenants[tn].cyclesCharged)
-		}
-		fmt.Fprintln(w, "# HELP smtd_cluster_tenant_shed_total Per-tenant quota sheds, split by enforcement edge.\n# TYPE smtd_cluster_tenant_shed_total counter")
-		for _, tn := range tenantNames {
-			row("smtd_cluster_tenant_shed_total", fmt.Sprintf("tenant=%q,edge=\"coordinator\"", tn), tenants[tn].coordSheds)
-			row("smtd_cluster_tenant_shed_total", fmt.Sprintf("tenant=%q,edge=\"worker\"", tn), tenants[tn].workerSheds)
-		}
-		fmt.Fprintln(w, "# HELP smtd_cluster_tenant_inflight_jobs Coordinator jobs currently in flight per tenant.\n# TYPE smtd_cluster_tenant_inflight_jobs gauge")
-		for _, tn := range tenantNames {
-			row("smtd_cluster_tenant_inflight_jobs", fmt.Sprintf("tenant=%q", tn), tenants[tn].inflightJobs)
-		}
-		fmt.Fprintln(w, "# HELP smtd_cluster_tenant_inflight_cells Coordinator cells currently in flight per tenant.\n# TYPE smtd_cluster_tenant_inflight_cells gauge")
-		for _, tn := range tenantNames {
-			row("smtd_cluster_tenant_inflight_cells", fmt.Sprintf("tenant=%q", tn), tenants[tn].inflightCells)
+			samples(tn, tenants[tn])
 		}
 	}
+	family("smtd_cluster_tenant_jobs_admitted_total", "counter", "Fleet-wide jobs admitted per tenant (last telemetry).", func(tn string, ta *tenantAgg) {
+		p.Sample("smtd_cluster_tenant_jobs_admitted_total", ta.jobsAdmitted, "tenant", tn)
+	})
+	family("smtd_cluster_tenant_cells_total", "counter", "Fleet-wide finished cells per tenant and state (last telemetry).", func(tn string, ta *tenantAgg) {
+		p.Sample("smtd_cluster_tenant_cells_total", ta.cellsDone, "tenant", tn, "state", "done")
+		p.Sample("smtd_cluster_tenant_cells_total", ta.cellsFailed, "tenant", tn, "state", "failed")
+	})
+	family("smtd_cluster_tenant_cycles_charged_total", "counter", "Fleet-wide simulated cycles charged per tenant (last telemetry).", func(tn string, ta *tenantAgg) {
+		p.Sample("smtd_cluster_tenant_cycles_charged_total", ta.cyclesCharged, "tenant", tn)
+	})
+	family("smtd_cluster_tenant_shed_total", "counter", "Per-tenant quota sheds, split by enforcement edge.", func(tn string, ta *tenantAgg) {
+		p.Sample("smtd_cluster_tenant_shed_total", ta.coordSheds, "tenant", tn, "edge", "coordinator")
+		p.Sample("smtd_cluster_tenant_shed_total", ta.workerSheds, "tenant", tn, "edge", "worker")
+	})
+	family("smtd_cluster_tenant_inflight_jobs", "gauge", "Coordinator jobs currently in flight per tenant.", func(tn string, ta *tenantAgg) {
+		p.Sample("smtd_cluster_tenant_inflight_jobs", ta.inflightJobs, "tenant", tn)
+	})
+	family("smtd_cluster_tenant_inflight_cells", "gauge", "Coordinator cells currently in flight per tenant.", func(tn string, ta *tenantAgg) {
+		p.Sample("smtd_cluster_tenant_inflight_cells", ta.inflightCells, "tenant", tn)
+	})
 }

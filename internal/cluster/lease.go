@@ -8,14 +8,17 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"smtexplore/internal/service"
 )
 
 // ErrLeaseLost reports that this node no longer holds the leadership
 // lease: another coordinator claimed a higher term (or rewrote the
 // lease) since we last renewed. The only correct response is to demote
 // — keep serving and the cluster has two leaders journaling over each
-// other.
-var ErrLeaseLost = errors.New("cluster: leadership lease lost")
+// other. A submission refused by it is a 503 the client retries against
+// the new leader (it matches service.ErrUnavailable).
+var ErrLeaseLost = service.Unavailable("cluster: leadership lease lost")
 
 // LeaseState is the advertised lease file: who leads, under which term,
 // and until when. It lives in the shared HA directory and is written

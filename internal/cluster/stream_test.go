@@ -30,7 +30,7 @@ func TestStreamCancelReachesHeldWorker(t *testing.T) {
 	defer hw.release()
 	c.AddWorker(hw)
 
-	j, err := c.Submit([]service.CellSpec{adoptSpec()}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{adoptSpec()}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStreamDropResumesFromLastSeq(t *testing.T) {
 
 	spec := service.CellSpec{Type: service.TypeStream, Window: 40000,
 		Streams: []service.StreamSpec{{Kind: "fadd"}, {Kind: "iload"}}}
-	j, err := c.Submit([]service.CellSpec{spec}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{spec}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestStreamHungWorkerEvicted(t *testing.T) {
 	c.AddWorker(survivor)
 
 	sp := specOwnedBy(t, 0, "hung", []string{"hung", "survivor"})
-	j, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{})
+	j, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 
 	"smtexplore/internal/service"
 	"smtexplore/internal/tenant"
@@ -64,11 +62,10 @@ func (c *Coordinator) releaseTenantLocked(tn string, cells int) {
 	}
 }
 
-// retryAfter derives the coordinator's Retry-After hint from the
-// fleet's queue-wait telemetry: twice the worst live worker's EWMA,
-// clamped to [1s, 30s] — the same shape the single daemon serves, so
-// clients back off proportionally to actual congestion either way.
-func (c *Coordinator) retryAfter() string {
+// QueueWaitEWMA is the fleet's queue wait for Retry-After hints
+// (service.JobAPI): the worst live worker's EWMA, so clients back off
+// in proportion to the most congested worker they could land on.
+func (c *Coordinator) QueueWaitEWMA() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	worst := 0.0
@@ -77,14 +74,7 @@ func (c *Coordinator) retryAfter() string {
 			worst = m.stats.QueueWaitEWMASeconds
 		}
 	}
-	secs := int(math.Ceil(2 * worst))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return strconv.Itoa(secs)
+	return worst
 }
 
 // normTenant mirrors the daemon's defaulting: no tenant means the

@@ -28,12 +28,12 @@ func TestTenantForwardedToWorker(t *testing.T) {
 	c.AddWorker(a)
 
 	sp := specOwnedBy(t, 0, "a", []string{"a"})
-	j, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "alice"})
+	j, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitJobDone(t, j)
-	j2, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{})
+	j2, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,28 +127,28 @@ func TestCoordinatorQuotas(t *testing.T) {
 	c.AddWorker(hw)
 	sp := specOwnedBy(t, 0, "a", []string{"a"})
 
-	j, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "capped"})
+	j, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "capped"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One job in flight: the jobs quota refuses a second.
-	_, err = c.Submit([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "capped"})
+	_, err = c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "capped"})
 	var qe *service.QuotaError
 	if !errors.As(err, &qe) || qe.Cause != service.QuotaQueuedJobs {
 		t.Fatalf("second submit: err=%v, want QuotaError(%s)", err, service.QuotaQueuedJobs)
 	}
 	// Other tenants are unaffected.
-	if _, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "free"}); err != nil {
+	if _, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "free"}); err != nil {
 		t.Fatalf("unrelated tenant refused: %v", err)
 	}
 	// Release: the quota frees when the job concludes.
 	hw.release()
 	waitJobDone(t, j)
-	j3, err := c.Submit([]service.CellSpec{sp, sp, sp}, service.SubmitOptions{Tenant: "capped"})
+	j3, err := c.SubmitWith([]service.CellSpec{sp, sp, sp}, service.SubmitOptions{Tenant: "capped"})
 	if !errors.As(err, &qe) || qe.Cause != service.QuotaActiveCells {
 		t.Fatalf("3-cell batch: err=%v (job=%v), want QuotaError(%s)", err, j3, service.QuotaActiveCells)
 	}
-	j4, err := c.Submit([]service.CellSpec{sp, sp}, service.SubmitOptions{Tenant: "capped"})
+	j4, err := c.SubmitWith([]service.CellSpec{sp, sp}, service.SubmitOptions{Tenant: "capped"})
 	if err != nil {
 		t.Fatalf("2-cell batch after release refused: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestWorkerRefusalShedsGroupNotWorker(t *testing.T) {
 	c.AddWorker(rw)
 	sp := specOwnedBy(t, 0, "a", []string{"a"})
 
-	j, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "anyone"})
+	j, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "anyone"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestBackpressureRetriedNotFailed(t *testing.T) {
 	c.AddWorker(bw)
 	sp := specOwnedBy(t, 0, "a", []string{"a"})
 
-	j, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "anyone"})
+	j, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "anyone"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestBackpressureBudgetBounded(t *testing.T) {
 	c.AddWorker(bw)
 	sp := specOwnedBy(t, 0, "a", []string{"a"})
 
-	j, err := c.Submit([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "anyone"})
+	j, err := c.SubmitWith([]service.CellSpec{sp}, service.SubmitOptions{Tenant: "anyone"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,24 +14,24 @@ import (
 )
 
 func TestTargetSetRotatesAndFollowsLeader(t *testing.T) {
-	ts := newTargetSet("a:1, b:2")
-	if got := ts.pick(); got != "a:1" {
+	ts := (&Runner{Target: "a:1, b:2"}).targets()
+	if got := ts.Addr(); got != "a:1" {
 		t.Fatalf("initial pick %q", got)
 	}
-	ts.observe(nil, context.DeadlineExceeded)
-	if got := ts.pick(); got != "b:2" {
+	ts.Observe(nil, context.DeadlineExceeded)
+	if got := ts.Addr(); got != "b:2" {
 		t.Fatalf("after transport error pick %q", got)
 	}
 	resp := &http.Response{
 		StatusCode: http.StatusServiceUnavailable,
 		Header:     http.Header{"X-Cluster-Leader": []string{"c:3"}},
 	}
-	ts.observe(resp, nil)
-	if got := ts.pick(); got != "c:3" {
+	ts.Observe(resp, nil)
+	if got := ts.Addr(); got != "c:3" {
 		t.Fatalf("leader redirect pick %q, want c:3 (learned)", got)
 	}
-	ts.observe(&http.Response{StatusCode: http.StatusAccepted, Header: http.Header{}}, nil)
-	if got := ts.pick(); got != "c:3" {
+	ts.Observe(&http.Response{StatusCode: http.StatusAccepted, Header: http.Header{}}, nil)
+	if got := ts.Addr(); got != "c:3" {
 		t.Fatalf("success must not move the pick, got %q", got)
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"smtexplore/internal/api"
 )
 
 // submitRequest mirrors the daemon's POST /v1/jobs body. Declared
@@ -68,7 +70,7 @@ type Runner struct {
 	SubmitRetry time.Duration
 
 	tsOnce sync.Once
-	ts     *targetSet
+	ts     *api.Endpoints
 }
 
 func (r *Runner) client() *http.Client {
@@ -78,8 +80,8 @@ func (r *Runner) client() *http.Client {
 	return &http.Client{Timeout: 10 * time.Second}
 }
 
-func (r *Runner) targets() *targetSet {
-	r.tsOnce.Do(func() { r.ts = newTargetSet(r.Target) })
+func (r *Runner) targets() *api.Endpoints {
+	r.tsOnce.Do(func() { r.ts = api.NewEndpoints(r.Target, "") })
 	return r.ts
 }
 
@@ -203,13 +205,13 @@ func (r *Runner) armFaults(ctx context.Context, planFile string) error {
 		return err
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+r.targets().pick()+"/v1/faults", bytes.NewReader(data))
+		"http://"+r.targets().Addr()+"/v1/faults", bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := r.client().Do(hreq)
-	r.targets().observe(resp, err)
+	r.targets().Observe(resp, err)
 	if err != nil {
 		return err
 	}
@@ -259,12 +261,12 @@ func (r *Runner) collectTelemetry(ctx context.Context, rep *Report) {
 }
 
 func (r *Runner) getJSON(ctx context.Context, path string, v any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.targets().pick()+path, nil)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.targets().Addr()+path, nil)
 	if err != nil {
 		return err
 	}
 	resp, err := r.client().Do(hreq)
-	r.targets().observe(resp, err)
+	r.targets().Observe(resp, err)
 	if err != nil {
 		return err
 	}
@@ -329,7 +331,7 @@ func (r *Runner) submitAndWatch(ctx context.Context, t *TenantLoad, seq uint64, 
 	var resp *http.Response
 	var respBody []byte
 	for {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+r.targets().pick()+"/v1/jobs", bytes.NewReader(body))
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+r.targets().Addr()+"/v1/jobs", bytes.NewReader(body))
 		if err != nil {
 			out.state, out.cause = "error", err.Error()
 			return out
@@ -338,7 +340,7 @@ func (r *Runner) submitAndWatch(ctx context.Context, t *TenantLoad, seq uint64, 
 		hreq.Header.Set("X-Tenant", t.Name)
 		hreq.Header.Set("Idempotency-Key", fmt.Sprintf("loadgen-%s-%d", t.Name, seq))
 		resp, err = r.client().Do(hreq)
-		r.targets().observe(resp, err)
+		r.targets().Observe(resp, err)
 		if err == nil {
 			respBody, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
@@ -398,13 +400,13 @@ func (r *Runner) submitAndWatch(ctx context.Context, t *TenantLoad, seq uint64, 
 			return out
 		case <-time.After(r.pollEvery()):
 		}
-		sreq, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.targets().pick()+"/v1/jobs/"+st.ID, nil)
+		sreq, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.targets().Addr()+"/v1/jobs/"+st.ID, nil)
 		if err != nil {
 			out.state, out.cause = "error", err.Error()
 			return out
 		}
 		sresp, err := r.client().Do(sreq)
-		r.targets().observe(sresp, err)
+		r.targets().Observe(sresp, err)
 		if err != nil {
 			continue // the daemon may be mid-restart or mid-failover; keep polling to the budget
 		}

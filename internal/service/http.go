@@ -2,37 +2,14 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"smtexplore/internal/faultinject"
-	"smtexplore/internal/tenant"
 )
-
-// retryAfter derives the Retry-After hint for shed responses from the
-// measured queue-wait EWMA: twice the recent wait (a shed submission
-// would have joined the back of that queue), floored at 1s so an idle
-// service still rate-limits retries, capped at 30s so a congestion
-// spike cannot park clients for minutes.
-func (s *Service) retryAfter() string {
-	s.mu.Lock()
-	ewma := s.queueWaitEWMA
-	s.mu.Unlock()
-	secs := int(math.Ceil(2 * ewma))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return strconv.Itoa(secs)
-}
 
 // SubmitRequest is the POST /v1/jobs body.
 type SubmitRequest struct {
@@ -77,9 +54,8 @@ type JobResult struct {
 	Cells []CellResult `json:"cells"`
 }
 
-// Status snapshots the job's progress view (cells without results).
-// Exported for the cluster coordinator, which mirrors remote jobs into
-// local Job trackers and serves the same HTTP shapes.
+// Status snapshots the job's progress view (cells without results),
+// the body of GET /v1/jobs/{id}.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -97,15 +73,9 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Handler returns the service's HTTP API:
+// Handler returns the service's HTTP API: the job routes of
+// RegisterJobRoutes plus the daemon-only ones:
 //
-//	POST   /v1/jobs                                  submit a batch
-//	GET    /v1/jobs                                  list jobs
-//	GET    /v1/jobs/{id}                             job status
-//	DELETE /v1/jobs/{id}                             cancel
-//	GET    /v1/jobs/{id}/events                      SSE progress stream
-//	GET    /v1/jobs/{id}/result                      full results (terminal jobs)
-//	GET    /v1/jobs/{id}/cells/{cell}/result         one cell's result (?format=text)
 //	GET    /v1/jobs/{id}/cells/{cell}/artifacts/{name}  obs artifact of an observed cell
 //	GET    /v1/stats                                 JSON metrics snapshot (cluster telemetry)
 //	GET    /healthz                                  liveness (503 while draining)
@@ -114,13 +84,7 @@ func (j *Job) Status() JobStatus {
 //	DELETE /v1/faults                                disarm the active plan (requires AllowFaultAPI)
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/jobs/{id}/cells/{cell}/result", s.handleCellResult)
+	RegisterJobRoutes(mux, s)
 	mux.HandleFunc("GET /v1/jobs/{id}/cells/{cell}/artifacts/{name}", s.handleArtifact)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -136,32 +100,32 @@ func (s *Service) Handler() http.Handler {
 // fault injection on in production.
 func (s *Service) handleArmFaults(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.AllowFaultAPI {
-		writeError(w, http.StatusForbidden, "fault API disabled; start smtd with -allow-fault-api to enable it")
+		WriteError(w, http.StatusForbidden, "fault API disabled; start smtd with -allow-fault-api to enable it")
 		return
 	}
 	var plan faultinject.Plan
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&plan); err != nil {
-		writeError(w, http.StatusBadRequest, "bad fault plan: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad fault plan: "+err.Error())
 		return
 	}
 	in, err := faultinject.New(plan)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad fault plan: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad fault plan: "+err.Error())
 		return
 	}
 	faultinject.Arm(in)
-	writeJSON(w, http.StatusOK, map[string]any{"armed": true, "rules": len(plan.Rules)})
+	WriteJSON(w, http.StatusOK, map[string]any{"armed": true, "rules": len(plan.Rules)})
 }
 
 func (s *Service) handleDisarmFaults(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.AllowFaultAPI {
-		writeError(w, http.StatusForbidden, "fault API disabled; start smtd with -allow-fault-api to enable it")
+		WriteError(w, http.StatusForbidden, "fault API disabled; start smtd with -allow-fault-api to enable it")
 		return
 	}
 	faultinject.Disarm()
-	writeJSON(w, http.StatusOK, map[string]any{"armed": false})
+	WriteJSON(w, http.StatusOK, map[string]any{"armed": false})
 }
 
 // handleStats serves the structured metrics snapshot as JSON — the
@@ -169,172 +133,11 @@ func (s *Service) handleDisarmFaults(w http.ResponseWriter, r *http.Request) {
 // for queue-wait and checkpoint telemetry (steal and migration
 // accounting) without scraping Prometheus text.
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshot())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	opts := SubmitOptions{IdemKey: r.Header.Get("Idempotency-Key"), Priority: req.Priority}
-	opts.Tenant = req.Tenant
-	if h := r.Header.Get("X-Tenant"); h != "" {
-		opts.Tenant = h
-	}
-	if opts.Tenant != "" && !tenant.ValidName(opts.Tenant) {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid tenant name %q", opts.Tenant))
-		return
-	}
-	if req.Deadline != "" {
-		d, err := time.ParseDuration(req.Deadline)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad deadline: "+err.Error())
-			return
-		}
-		opts.Deadline = time.Now().Add(d)
-	}
-	j, err := s.SubmitWith(req.Cells, opts)
-	var quotaErr *QuotaError
-	switch {
-	case errors.As(err, &quotaErr):
-		// Per-tenant quota refusal: 429 with the exhausted quota's
-		// cause, so the client can tell its own overrun from service
-		// overload. Backoff hint tracks measured congestion.
-		w.Header().Set("Retry-After", s.retryAfter())
-		w.Header().Set("X-Quota-Cause", quotaErr.Cause)
-		writeError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShedLoad):
-		// Backpressure: tell the client when to come back, scaled to
-		// the queue wait recent jobs actually experienced.
-		w.Header().Set("Retry-After", s.retryAfter())
-		writeError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, ErrDeadlineExpired):
-		// Shed, but pointless to retry as-is: the client must send a
-		// fresh (positive) deadline.
-		writeError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case errors.Is(err, ErrJournal):
-		// The job was refused, not lost: retrying is safe and the store
-		// may have recovered by then.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.Status())
-}
-
-func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	var out []JobStatus
-	for _, j := range s.Jobs() {
-		out = append(out, j.Status())
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
-}
-
-func (s *Service) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
-	}
-	return j, ok
-}
-
-func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.job(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Status())
-	}
-}
-
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.Cancel(id) {
-		writeError(w, http.StatusNotFound, "unknown job "+id)
-		return
-	}
-	j, _ := s.Job(id)
-	writeJSON(w, http.StatusOK, j.Status())
-}
-
-func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	state, errMsg := j.State()
-	switch state {
-	case JobDone, JobFailed, JobCancelled:
-	default:
-		writeError(w, http.StatusConflict, fmt.Sprintf("job %s is %s; results are available once it is terminal", j.ID, state))
-		return
-	}
-	writeJSON(w, http.StatusOK, JobResult{ID: j.ID, State: state, Error: errMsg, Cells: j.Results()})
-}
-
-func (s *Service) cell(w http.ResponseWriter, r *http.Request) (*Job, CellResult, bool) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return nil, CellResult{}, false
-	}
-	i, err := strconv.Atoi(r.PathValue("cell"))
-	results := j.Results()
-	if err != nil || i < 0 || i >= len(results) {
-		writeError(w, http.StatusNotFound, "unknown cell "+r.PathValue("cell"))
-		return nil, CellResult{}, false
-	}
-	return j, results[i], true
-}
-
-func (s *Service) handleCellResult(w http.ResponseWriter, r *http.Request) {
-	_, res, ok := s.cell(w, r)
-	if !ok {
-		return
-	}
-	switch res.State {
-	case CellDone, CellFailed, CellCancelled:
-	default:
-		writeError(w, http.StatusConflict, fmt.Sprintf("cell %d is %s", res.Index, res.State))
-		return
-	}
-	if r.URL.Query().Get("format") == "text" {
-		if res.State != CellDone {
-			writeError(w, http.StatusConflict, fmt.Sprintf("cell %d %s: %s", res.Index, res.State, res.Error))
-			return
-		}
-		if res.Text == "" {
-			writeError(w, http.StatusBadRequest, "text format is only available for harness cells")
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, res.Text)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, s.Snapshot())
 }
 
 func (s *Service) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	j, res, ok := s.cell(w, r)
+	j, res, ok := jobRoutes{s}.cell(w, r)
 	if !ok {
 		return
 	}
@@ -347,7 +150,7 @@ func (s *Service) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !listed {
-		writeError(w, http.StatusNotFound, "unknown artifact "+name)
+		WriteError(w, http.StatusNotFound, "unknown artifact "+name)
 		return
 	}
 	// Names come from the artifact list the service built itself (a slug
@@ -355,13 +158,13 @@ func (s *Service) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	path := filepath.Join(s.cfg.ArtifactDir, j.ID, fmt.Sprintf("cell-%d", res.Index), name)
 	f, err := os.Open(path)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "artifact not on disk: "+name)
+		WriteError(w, http.StatusNotFound, "artifact not on disk: "+name)
 		return
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	http.ServeContent(w, r, name, info.ModTime(), f)
@@ -385,77 +188,4 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-// handleEvents streams job progress as Server-Sent Events: the full
-// event history replays first, then live events as cells complete. The
-// stream ends with an "end" event carrying the terminal job state, so a
-// client can distinguish done / failed / cancelled without a second
-// request.
-//
-// Every progress event carries an SSE id (its sequence number), and a
-// reconnecting client resumes where it left off via the standard
-// Last-Event-ID header (or ?since=<seq>, for clients without header
-// control): events after that point replay, then the stream follows
-// live — no duplicates, no gaps. The end event carries no id, so a
-// reconnect after it replays from the right spot instead of past it.
-func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	ServeJobEvents(w, r, j)
-}
-
-// ServeJobEvents streams one job's progress as SSE (see handleEvents
-// for the protocol). Exported so the cluster coordinator can serve the
-// identical stream for its mirrored jobs — smtctl wait cannot tell a
-// coordinator from a single daemon.
-func ServeJobEvents(w http.ResponseWriter, r *http.Request, j *Job) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	next := 0
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			next = n + 1
-		}
-	} else if v := r.URL.Query().Get("since"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			next = n + 1
-		}
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	for {
-		evs, notify, terminal := j.EventsSince(next)
-		for _, ev := range evs {
-			data, _ := json.Marshal(ev)
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-			next++
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-		if terminal {
-			// Re-check freshness: only finish once every event is out.
-			if evs2, _, _ := j.EventsSince(next); len(evs2) == 0 {
-				state, errMsg := j.State()
-				data, _ := json.Marshal(map[string]string{"job": j.ID, "state": state, "error": errMsg})
-				fmt.Fprintf(w, "event: end\ndata: %s\n\n", data)
-				flusher.Flush()
-				return
-			}
-			continue
-		}
-		select {
-		case <-notify:
-		case <-r.Context().Done():
-			return
-		}
-	}
 }

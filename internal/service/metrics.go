@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -214,72 +215,104 @@ func (s *Service) Snapshot() Metrics {
 	return m
 }
 
+// PromWriter writes Prometheus text exposition format: a # HELP and
+// # TYPE header per family, then its samples, each value printed with
+// %v.
+type PromWriter struct{ W io.Writer }
+
+// Counter writes a counter family with one unlabelled sample.
+func (p PromWriter) Counter(name, help string, v any) {
+	p.Family(name, "counter", help)
+	p.Sample(name, v)
+}
+
+// Gauge writes a gauge family with one unlabelled sample.
+func (p PromWriter) Gauge(name, help string, v any) {
+	p.Family(name, "gauge", help)
+	p.Sample(name, v)
+}
+
+// Family writes the header of a family whose samples follow.
+func (p PromWriter) Family(name, typ, help string) {
+	fmt.Fprintf(p.W, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// Sample writes one sample; labels are name, value pairs, in order.
+func (p PromWriter) Sample(name string, v any, labels ...string) {
+	io.WriteString(p.W, name)
+	for i := 0; i+1 < len(labels); i += 2 {
+		sep := ","
+		if i == 0 {
+			sep = "{"
+		}
+		fmt.Fprintf(p.W, "%s%s=%q", sep, labels[i], labels[i+1])
+	}
+	if len(labels) > 0 {
+		io.WriteString(p.W, "}")
+	}
+	fmt.Fprintf(p.W, " %v\n", v)
+}
+
 // WriteProm renders the snapshot in Prometheus text exposition format.
 func (m Metrics) WriteProm(w *strings.Builder) {
-	counter := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
+	p := PromWriter{w}
+	p.Family("smtd_jobs_total", "counter", "Jobs finished, by terminal state.")
+	p.Sample("smtd_jobs_total", m.JobsDone, "state", "done")
+	p.Sample("smtd_jobs_total", m.JobsFailed, "state", "failed")
+	p.Sample("smtd_jobs_total", m.JobsCancelled, "state", "cancelled")
+	p.Family("smtd_cells_total", "counter", "Cells finished, by terminal state.")
+	p.Sample("smtd_cells_total", m.CellsDone, "state", "done")
+	p.Sample("smtd_cells_total", m.CellsFailed, "state", "failed")
+	p.Sample("smtd_cells_total", m.CellsCancelled, "state", "cancelled")
 
-	fmt.Fprintf(w, "# HELP smtd_jobs_total Jobs finished, by terminal state.\n# TYPE smtd_jobs_total counter\n")
-	fmt.Fprintf(w, "smtd_jobs_total{state=\"done\"} %d\n", m.JobsDone)
-	fmt.Fprintf(w, "smtd_jobs_total{state=\"failed\"} %d\n", m.JobsFailed)
-	fmt.Fprintf(w, "smtd_jobs_total{state=\"cancelled\"} %d\n", m.JobsCancelled)
-	fmt.Fprintf(w, "# HELP smtd_cells_total Cells finished, by terminal state.\n# TYPE smtd_cells_total counter\n")
-	fmt.Fprintf(w, "smtd_cells_total{state=\"done\"} %d\n", m.CellsDone)
-	fmt.Fprintf(w, "smtd_cells_total{state=\"failed\"} %d\n", m.CellsFailed)
-	fmt.Fprintf(w, "smtd_cells_total{state=\"cancelled\"} %d\n", m.CellsCancelled)
+	p.Gauge("smtd_jobs_active", "Jobs currently executing.", m.JobsActive)
+	p.Gauge("smtd_queue_depth", "Jobs waiting in the bounded queue.", m.QueueDepth)
+	p.Gauge("smtd_queue_capacity", "Capacity of the bounded queue.", m.QueueCapacity)
 
-	gauge("smtd_jobs_active", "Jobs currently executing.", m.JobsActive)
-	gauge("smtd_queue_depth", "Jobs waiting in the bounded queue.", m.QueueDepth)
-	gauge("smtd_queue_capacity", "Capacity of the bounded queue.", m.QueueCapacity)
+	p.Counter("smtd_cache_hits_total", "In-memory result cache hits.", m.CacheHits)
+	p.Counter("smtd_cache_misses_total", "In-memory result cache misses.", m.CacheMisses)
+	p.Counter("smtd_cache_evictions_total", "In-memory cache LRU evictions.", m.CacheEvictions)
+	p.Gauge("smtd_cache_entries", "Resident in-memory cache entries.", m.CacheEntries)
 
-	counter("smtd_cache_hits_total", "In-memory result cache hits.", m.CacheHits)
-	counter("smtd_cache_misses_total", "In-memory result cache misses.", m.CacheMisses)
-	counter("smtd_cache_evictions_total", "In-memory cache LRU evictions.", m.CacheEvictions)
-	gauge("smtd_cache_entries", "Resident in-memory cache entries.", m.CacheEntries)
-
-	counter("smtd_cells_simulated_total", "Cells that actually ran the simulator (missed every cache tier).", m.CellsSimulated)
+	p.Counter("smtd_cells_simulated_total", "Cells that actually ran the simulator (missed every cache tier).", m.CellsSimulated)
 
 	if m.HasStore {
-		counter("smtd_store_hits_total", "Disk store hits.", m.StoreHits)
-		counter("smtd_store_misses_total", "Disk store misses.", m.StoreMisses)
-		counter("smtd_store_evictions_total", "Disk store LRU evictions.", m.StoreEvictions)
-		counter("smtd_store_corrupt_total", "Disk store entries dropped as corrupt.", m.StoreCorrupt)
-		counter("smtd_store_writes_total", "Disk store entries written.", m.StoreWrites)
-		counter("smtd_store_io_errors_total", "Disk store filesystem errors (reads and writes).", m.StoreIOErrors)
-		gauge("smtd_store_entries", "Resident disk store entries.", m.StoreEntries)
-		gauge("smtd_store_bytes", "Resident disk store bytes.", m.StoreBytes)
+		p.Counter("smtd_store_hits_total", "Disk store hits.", m.StoreHits)
+		p.Counter("smtd_store_misses_total", "Disk store misses.", m.StoreMisses)
+		p.Counter("smtd_store_evictions_total", "Disk store LRU evictions.", m.StoreEvictions)
+		p.Counter("smtd_store_corrupt_total", "Disk store entries dropped as corrupt.", m.StoreCorrupt)
+		p.Counter("smtd_store_writes_total", "Disk store entries written.", m.StoreWrites)
+		p.Counter("smtd_store_io_errors_total", "Disk store filesystem errors (reads and writes).", m.StoreIOErrors)
+		p.Gauge("smtd_store_entries", "Resident disk store entries.", m.StoreEntries)
+		p.Gauge("smtd_store_bytes", "Resident disk store bytes.", m.StoreBytes)
 	}
 
-	fmt.Fprintf(w, "# HELP smtd_submit_rejected_total Submissions refused, by reason.\n# TYPE smtd_submit_rejected_total counter\n")
-	fmt.Fprintf(w, "smtd_submit_rejected_total{reason=\"queue_full\"} %d\n", m.SubmitRejectedFull)
-	fmt.Fprintf(w, "smtd_submit_rejected_total{reason=\"draining\"} %d\n", m.SubmitRejectedDraining)
-	counter("smtd_idempotent_hits_total", "Submissions deduplicated onto a live job via Idempotency-Key.", m.IdemHits)
-	counter("smtd_cells_timed_out_total", "Cells failed by the watchdog timeout.", m.CellsTimedOut)
-	counter("smtd_jobs_recovered_total", "Journaled jobs re-enqueued after a restart.", m.JobsRecovered)
-	counter("smtd_jobs_abandoned_total", "Journaled jobs marked failed-with-cause after a restart.", m.JobsAbandoned)
+	p.Family("smtd_submit_rejected_total", "counter", "Submissions refused, by reason.")
+	p.Sample("smtd_submit_rejected_total", m.SubmitRejectedFull, "reason", "queue_full")
+	p.Sample("smtd_submit_rejected_total", m.SubmitRejectedDraining, "reason", "draining")
+	p.Counter("smtd_idempotent_hits_total", "Submissions deduplicated onto a live job via Idempotency-Key.", m.IdemHits)
+	p.Counter("smtd_cells_timed_out_total", "Cells failed by the watchdog timeout.", m.CellsTimedOut)
+	p.Counter("smtd_jobs_recovered_total", "Journaled jobs re-enqueued after a restart.", m.JobsRecovered)
+	p.Counter("smtd_jobs_abandoned_total", "Journaled jobs marked failed-with-cause after a restart.", m.JobsAbandoned)
 
-	fmt.Fprintf(w, "# HELP smtd_shed_total Submissions or jobs shed by overload control, by reason.\n# TYPE smtd_shed_total counter\n")
-	fmt.Fprintf(w, "smtd_shed_total{reason=\"deadline\"} %d\n", m.ShedDeadline)
-	fmt.Fprintf(w, "smtd_shed_total{reason=\"aimd\"} %d\n", m.ShedAIMD)
-	fmt.Fprintf(w, "smtd_shed_total{reason=\"quota\"} %d\n", m.ShedQuota)
-	counter("smtd_queue_wait_seconds_total", "Cumulative time jobs spent queued before a worker picked them up.", m.QueueWaitSeconds)
-	gauge("smtd_queue_wait_ewma_seconds", "Exponentially-weighted recent queue wait (the cluster steal signal).", m.QueueWaitEWMASeconds)
-	counter("smtd_queue_pops_total", "Jobs handed to workers (denominator for mean queue wait).", m.QueueWaitPops)
+	p.Family("smtd_shed_total", "counter", "Submissions or jobs shed by overload control, by reason.")
+	p.Sample("smtd_shed_total", m.ShedDeadline, "reason", "deadline")
+	p.Sample("smtd_shed_total", m.ShedAIMD, "reason", "aimd")
+	p.Sample("smtd_shed_total", m.ShedQuota, "reason", "quota")
+	p.Counter("smtd_queue_wait_seconds_total", "Cumulative time jobs spent queued before a worker picked them up.", m.QueueWaitSeconds)
+	p.Gauge("smtd_queue_wait_ewma_seconds", "Exponentially-weighted recent queue wait (the cluster steal signal).", m.QueueWaitEWMASeconds)
+	p.Counter("smtd_queue_pops_total", "Jobs handed to workers (denominator for mean queue wait).", m.QueueWaitPops)
 	if m.HasAIMD {
-		gauge("smtd_aimd_limit", "Current AIMD limit on outstanding (queued+active) jobs.", m.AIMDLimit)
+		p.Gauge("smtd_aimd_limit", "Current AIMD limit on outstanding (queued+active) jobs.", m.AIMDLimit)
 	}
 
 	if m.HasCheckpoint {
-		counter("smtd_checkpoints_written_total", "Cell checkpoints written to the sink.", m.CheckpointsWritten)
-		counter("smtd_checkpoints_restored_total", "Cells resumed from a checkpoint instead of cycle zero.", m.CheckpointsRestored)
-		counter("smtd_checkpoint_bytes_total", "Encoded checkpoint bytes written.", m.CheckpointBytes)
-		counter("smtd_resume_cycles_saved_total", "Simulated cycles restores skipped re-running.", m.ResumeCyclesSaved)
-		counter("smtd_checkpoints_on_timeout_total", "Watchdog timeouts that secured a final checkpoint before abandoning the cell.", m.CheckpointsOnTimeout)
-		counter("smtd_preemptions_total", "Jobs checkpointed and re-queued to make room for higher-priority work.", m.Preemptions)
+		p.Counter("smtd_checkpoints_written_total", "Cell checkpoints written to the sink.", m.CheckpointsWritten)
+		p.Counter("smtd_checkpoints_restored_total", "Cells resumed from a checkpoint instead of cycle zero.", m.CheckpointsRestored)
+		p.Counter("smtd_checkpoint_bytes_total", "Encoded checkpoint bytes written.", m.CheckpointBytes)
+		p.Counter("smtd_resume_cycles_saved_total", "Simulated cycles restores skipped re-running.", m.ResumeCyclesSaved)
+		p.Counter("smtd_checkpoints_on_timeout_total", "Watchdog timeouts that secured a final checkpoint before abandoning the cell.", m.CheckpointsOnTimeout)
+		p.Counter("smtd_preemptions_total", "Jobs checkpointed and re-queued to make room for higher-priority work.", m.Preemptions)
 	}
 
 	if m.HasBreaker {
@@ -287,23 +320,23 @@ func (m Metrics) WriteProm(w *strings.Builder) {
 		if m.StoreDegraded {
 			degraded = 1
 		}
-		gauge("smtd_store_degraded", "1 while the store circuit breaker is not closed (memory-only caching).", degraded)
-		fmt.Fprintf(w, "# HELP smtd_store_breaker_state Circuit state (1 on exactly one of the three).\n# TYPE smtd_store_breaker_state gauge\n")
+		p.Gauge("smtd_store_degraded", "1 while the store circuit breaker is not closed (memory-only caching).", degraded)
+		p.Family("smtd_store_breaker_state", "gauge", "Circuit state (1 on exactly one of the three).")
 		for _, st := range []string{store.BreakerClosed, store.BreakerOpen, store.BreakerHalfOpen} {
 			v := 0
 			if m.BreakerState == st {
 				v = 1
 			}
-			fmt.Fprintf(w, "smtd_store_breaker_state{state=%q} %d\n", st, v)
+			p.Sample("smtd_store_breaker_state", v, "state", st)
 		}
-		counter("smtd_store_breaker_trips_total", "Circuit transitions to open.", m.BreakerTrips)
-		counter("smtd_store_breaker_short_circuits_total", "Store operations refused while the circuit was open.", m.BreakerShortCircuits)
-		counter("smtd_store_breaker_probes_total", "Half-open probe operations admitted.", m.BreakerProbes)
+		p.Counter("smtd_store_breaker_trips_total", "Circuit transitions to open.", m.BreakerTrips)
+		p.Counter("smtd_store_breaker_short_circuits_total", "Store operations refused while the circuit was open.", m.BreakerShortCircuits)
+		p.Counter("smtd_store_breaker_probes_total", "Half-open probe operations admitted.", m.BreakerProbes)
 	}
 
 	if m.HasJournal {
-		counter("smtd_journal_writes_total", "Journal records persisted.", m.JournalWrites)
-		counter("smtd_journal_errors_total", "Journal writes that failed.", m.JournalErrors)
+		p.Counter("smtd_journal_writes_total", "Journal records persisted.", m.JournalWrites)
+		p.Counter("smtd_journal_errors_total", "Journal writes that failed.", m.JournalErrors)
 	}
 
 	if len(m.Tenants) > 0 {
@@ -312,57 +345,51 @@ func (m Metrics) WriteProm(w *strings.Builder) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		row := func(name, help string, render func(t string, v TenantMetrics)) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		family := func(name, typ, help string, samples func(t string, v TenantMetrics)) {
+			p.Family(name, typ, help)
 			for _, t := range names {
-				render(t, m.Tenants[t])
+				samples(t, m.Tenants[t])
 			}
 		}
-		rowGauge := func(name, help string, render func(t string, v TenantMetrics)) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-			for _, t := range names {
-				render(t, m.Tenants[t])
-			}
-		}
-		row("smtd_tenant_jobs_admitted_total", "Jobs admitted, by tenant.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_jobs_admitted_total{tenant=%q} %d\n", t, v.JobsAdmitted)
+		family("smtd_tenant_jobs_admitted_total", "counter", "Jobs admitted, by tenant.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_jobs_admitted_total", v.JobsAdmitted, "tenant", t)
 		})
-		row("smtd_tenant_cells_total", "Cells finished, by tenant and terminal state.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_cells_total{tenant=%q,state=\"done\"} %d\n", t, v.CellsDone)
-			fmt.Fprintf(w, "smtd_tenant_cells_total{tenant=%q,state=\"failed\"} %d\n", t, v.CellsFailed)
+		family("smtd_tenant_cells_total", "counter", "Cells finished, by tenant and terminal state.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_cells_total", v.CellsDone, "tenant", t, "state", "done")
+			p.Sample("smtd_tenant_cells_total", v.CellsFailed, "tenant", t, "state", "failed")
 		})
-		row("smtd_tenant_cells_simulated_total", "Cells that ran the simulator (missed every cache tier), by tenant.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_cells_simulated_total{tenant=%q} %d\n", t, v.CellsSimulated)
+		family("smtd_tenant_cells_simulated_total", "counter", "Cells that ran the simulator (missed every cache tier), by tenant.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_cells_simulated_total", v.CellsSimulated, "tenant", t)
 		})
-		row("smtd_tenant_queue_wait_seconds_total", "Cumulative queue wait, by tenant.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_queue_wait_seconds_total{tenant=%q} %v\n", t, v.QueueWaitSeconds)
+		family("smtd_tenant_queue_wait_seconds_total", "counter", "Cumulative queue wait, by tenant.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_queue_wait_seconds_total", v.QueueWaitSeconds, "tenant", t)
 		})
-		row("smtd_tenant_queue_pops_total", "Jobs handed to workers, by tenant.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_queue_pops_total{tenant=%q} %d\n", t, v.QueueWaitPops)
+		family("smtd_tenant_queue_pops_total", "counter", "Jobs handed to workers, by tenant.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_queue_pops_total", v.QueueWaitPops, "tenant", t)
 		})
-		row("smtd_tenant_cycles_charged_total", "Simulated cycles charged against the tenant's budget window.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_cycles_charged_total{tenant=%q} %d\n", t, v.CyclesCharged)
+		family("smtd_tenant_cycles_charged_total", "counter", "Simulated cycles charged against the tenant's budget window.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_cycles_charged_total", v.CyclesCharged, "tenant", t)
 		})
-		row("smtd_tenant_shed_total", "Submissions refused by per-tenant quotas, by tenant and cause.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_shed_total{tenant=%q,cause=%q} %d\n", t, QuotaQueuedJobs, v.ShedQueuedJobs)
-			fmt.Fprintf(w, "smtd_tenant_shed_total{tenant=%q,cause=%q} %d\n", t, QuotaActiveCells, v.ShedActiveCells)
-			fmt.Fprintf(w, "smtd_tenant_shed_total{tenant=%q,cause=%q} %d\n", t, QuotaCycleBudget, v.ShedCycleBudget)
+		family("smtd_tenant_shed_total", "counter", "Submissions refused by per-tenant quotas, by tenant and cause.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_shed_total", v.ShedQueuedJobs, "tenant", t, "cause", QuotaQueuedJobs)
+			p.Sample("smtd_tenant_shed_total", v.ShedActiveCells, "tenant", t, "cause", QuotaActiveCells)
+			p.Sample("smtd_tenant_shed_total", v.ShedCycleBudget, "tenant", t, "cause", QuotaCycleBudget)
 		})
-		row("smtd_tenant_store_bytes_total", "Store-namespace bytes attributed to the tenant, by direction.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_store_bytes_total{tenant=%q,dir=\"written\"} %d\n", t, v.StoreBytesWritten)
-			fmt.Fprintf(w, "smtd_tenant_store_bytes_total{tenant=%q,dir=\"served\"} %d\n", t, v.StoreBytesServed)
+		family("smtd_tenant_store_bytes_total", "counter", "Store-namespace bytes attributed to the tenant, by direction.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_store_bytes_total", v.StoreBytesWritten, "tenant", t, "dir", "written")
+			p.Sample("smtd_tenant_store_bytes_total", v.StoreBytesServed, "tenant", t, "dir", "served")
 		})
-		rowGauge("smtd_tenant_queue_depth", "Jobs currently queued, by tenant.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_queue_depth{tenant=%q} %d\n", t, v.QueuedJobs)
+		family("smtd_tenant_queue_depth", "gauge", "Jobs currently queued, by tenant.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_queue_depth", v.QueuedJobs, "tenant", t)
 		})
-		rowGauge("smtd_tenant_active_cells", "Live (queued+running) cells, by tenant.", func(t string, v TenantMetrics) {
-			fmt.Fprintf(w, "smtd_tenant_active_cells{tenant=%q} %d\n", t, v.ActiveCells)
+		family("smtd_tenant_active_cells", "gauge", "Live (queued+running) cells, by tenant.", func(t string, v TenantMetrics) {
+			p.Sample("smtd_tenant_active_cells", v.ActiveCells, "tenant", t)
 		})
 	}
 
-	counter("smtd_faults_injected_total", "Fault-plan rule fires (0 unless a plan is armed).", m.FaultsInjected)
-	gauge("smtd_goroutines", "Goroutines in the daemon process.", m.Goroutines)
-	gauge("smtd_uptime_seconds", "Seconds since the service started.", m.UptimeSeconds)
+	p.Counter("smtd_faults_injected_total", "Fault-plan rule fires (0 unless a plan is armed).", m.FaultsInjected)
+	p.Gauge("smtd_goroutines", "Goroutines in the daemon process.", m.Goroutines)
+	p.Gauge("smtd_uptime_seconds", "Seconds since the service started.", m.UptimeSeconds)
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

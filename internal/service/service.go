@@ -28,8 +28,8 @@ var (
 	// ErrJournal reports a submission refused because its journal
 	// record could not be persisted: accepting a job the daemon could
 	// lose on crash would break the durability contract (HTTP 503 so
-	// the client retries).
-	ErrJournal = errors.New("service: journal write failed")
+	// the client retries; it matches ErrUnavailable).
+	ErrJournal = Unavailable("service: journal write failed")
 	// ErrShedLoad reports the AIMD limiter shedding a submission
 	// because measured queue wait is above target (HTTP 429 +
 	// Retry-After).
@@ -463,6 +463,13 @@ func (s *Service) maybePreemptLocked(newJob *Job) {
 	if victim != nil {
 		victim.requestStop(fmt.Sprintf("preempted by %s (priority %d > %d)", newJob.ID, newJob.Priority, victim.Priority))
 	}
+}
+
+// QueueWaitEWMA is the recent queue wait in seconds (JobAPI).
+func (s *Service) QueueWaitEWMA() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queueWaitEWMA
 }
 
 // Job looks up a job by ID.

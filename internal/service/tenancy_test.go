@@ -163,14 +163,14 @@ func TestRetryAfterTracksEWMA(t *testing.T) {
 	s := stubService(Config{}, instantDone)
 	defer s.Close()
 	// Idle service: floor of 1s.
-	if got := s.retryAfter(); got != "1" {
+	if got := retryAfter(s.QueueWaitEWMA()); got != "1" {
 		t.Fatalf("idle retryAfter = %s, want 1", got)
 	}
 	// Feed measured waits: EWMA converges toward 4s → hint 2×4=8.
 	for i := 0; i < 50; i++ {
 		s.noteQueueWait("default", 4*time.Second)
 	}
-	got, err := strconv.Atoi(s.retryAfter())
+	got, err := strconv.Atoi(retryAfter(s.QueueWaitEWMA()))
 	if err != nil || got < 7 || got > 8 {
 		t.Fatalf("retryAfter after 4s waits = %v (err %v), want ~8", got, err)
 	}
@@ -178,7 +178,7 @@ func TestRetryAfterTracksEWMA(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.noteQueueWait("default", 10*time.Minute)
 	}
-	if got := s.retryAfter(); got != "30" {
+	if got := retryAfter(s.QueueWaitEWMA()); got != "30" {
 		t.Fatalf("retryAfter after 10m waits = %s, want 30 (cap)", got)
 	}
 }
