@@ -113,8 +113,10 @@ obs-artifacts:
 		-metrics obs-sample/fadd-iload.metrics.json > obs-sample/fadd-iload.stdout.txt
 
 # Benchmark-regression gate (mirrors the bench-gate CI job): the gated
-# benchmark set must hold time/op within 10% of the committed
-# BENCH_0006.json baseline and allocs/op at zero. Use
+# benchmark set — the cold Figure-1 macro-benchmark, the per-cycle
+# stepping micro-benchmarks and BenchmarkStreamCell's whole loop-stream
+# cells — must hold time/op within 10% of the committed BENCH_0006.json
+# baseline and allocs/op from rising (zero on the stepping set). Use
 # `scripts/bench-gate.sh --against REF` for a same-machine A/B when the
 # local box differs from the one that recorded the baseline.
 bench-gate:

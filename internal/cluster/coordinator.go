@@ -460,19 +460,11 @@ func (c *Coordinator) chooseWorker(owner string) string {
 // bad cells and bad tenant names are rejected; no live workers maps to
 // 503.
 func (c *Coordinator) SubmitWith(specs []service.CellSpec, opts service.SubmitOptions) (*service.Job, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("cluster: empty batch")
-	}
-	for i, sp := range specs {
-		// The coordinator serves no artifacts, so observe cells are
-		// rejected at this edge exactly as on an artifact-less daemon.
-		if err := sp.Validate(false); err != nil {
-			return nil, fmt.Errorf("cluster: cell %d: %w", i, err)
-		}
-	}
-	tn := normTenant(opts.Tenant)
-	if !tenant.ValidName(tn) {
-		return nil, fmt.Errorf("cluster: invalid tenant name %q", tn)
+	// The coordinator serves no artifacts, so observe cells are rejected
+	// at this edge exactly as on an artifact-less daemon.
+	tn, err := service.ValidateSubmit(specs, opts.Tenant, false)
+	if err != nil {
+		return nil, err
 	}
 	if c.ring.Len() == 0 {
 		return nil, ErrNoWorkers
@@ -607,7 +599,7 @@ func (c *Coordinator) groupDone(cj *cjob) {
 		}
 		// Conclude returns true exactly once, so the quota release is
 		// exactly-once too.
-		c.releaseTenantLocked(normTenant(cj.tracker.Tenant), len(cj.tracker.Specs))
+		c.releaseTenantLocked(service.NormTenant(cj.tracker.Tenant), len(cj.tracker.Specs))
 		c.mu.Unlock()
 		if c.cfg.Journal != nil {
 			// Best-effort: a fenced-off conclude means we just got demoted —
@@ -997,7 +989,7 @@ func (c *Coordinator) adoptJob(id string, js *JobSnap) {
 	cj.groups = groups
 	cj.pending = len(groups)
 
-	tn := normTenant(js.Rec.Tenant)
+	tn := service.NormTenant(js.Rec.Tenant)
 	c.mu.Lock()
 	c.jobs[id] = cj
 	c.order = append(c.order, id)

@@ -135,7 +135,9 @@ type edgeShape struct {
 	Body       string // sorted top-level JSON keys, or "text"
 }
 
-func shapeOf(t *testing.T, resp *http.Response) edgeShape {
+// shapeOf reads a response into its shape and, for an {"error": ...}
+// body, the error text.
+func shapeOf(t *testing.T, resp *http.Response) (edgeShape, string) {
 	t.Helper()
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
@@ -149,13 +151,14 @@ func shapeOf(t *testing.T, resp *http.Response) edgeShape {
 		QuotaCause: resp.Header.Get("X-Quota-Cause") != "",
 		Body:       "text",
 	}
+	var text string
 	if strings.HasPrefix(sh.CType, "application/json") {
 		var obj map[string]any
 		if err := json.Unmarshal(raw, &obj); err != nil {
 			t.Fatalf("JSON body %q: %v", raw, err)
 		}
 		if msg, ok := obj["error"]; ok {
-			if s, _ := msg.(string); len(obj) != 1 || s == "" {
+			if text, _ = msg.(string); len(obj) != 1 || text == "" {
 				t.Fatalf("error body %q is not {\"error\": \"...\"}", raw)
 			}
 		}
@@ -166,12 +169,14 @@ func shapeOf(t *testing.T, resp *http.Response) edgeShape {
 		sort.Strings(keys)
 		sh.Body = strings.Join(keys, ",")
 	}
-	return sh
+	return sh, text
 }
 
 // Every client-visible property of a response — status, Content-Type,
 // Retry-After and X-Quota-Cause presence, and the {"error": ...} body
-// shape — is the same from a daemon and from a coordinator.
+// shape — is the same from a daemon and from a coordinator. A refused
+// submission (empty batch, bad cell, invalid tenant) reads the same
+// error text on both.
 func TestEdgeParity(t *testing.T) {
 	p := newEdgePair(t)
 
@@ -192,26 +197,29 @@ func TestEdgeParity(t *testing.T) {
 		name, method, path, body string
 		header                   map[string]string
 		want                     int
+		sameText                 bool
 	}{
-		{"bad JSON body", "POST", "/v1/jobs", `{"cells":`, nil, 400},
-		{"bad deadline", "POST", "/v1/jobs", `{"cells":[` + streamCell(2010) + `],"deadline":"soon"}`, nil, 400},
-		{"empty batch", "POST", "/v1/jobs", `{"cells":[]}`, nil, 400},
-		{"invalid tenant", "POST", "/v1/jobs", `{"cells":[` + streamCell(2011) + `]}`, map[string]string{"X-Tenant": "no spaces allowed"}, 400},
-		{"unknown job status", "GET", "/v1/jobs/nope", "", nil, 404},
-		{"unknown job cancel", "DELETE", "/v1/jobs/nope", "", nil, 404},
-		{"unknown job events", "GET", "/v1/jobs/nope/events", "", nil, 404},
-		{"unknown job result", "GET", "/v1/jobs/nope/result", "", nil, 404},
-		{"result while running", "GET", "/v1/jobs/{running}/result", "", nil, 409},
-		{"cell index not a number", "GET", "/v1/jobs/{done}/cells/x/result", "", nil, 404},
-		{"cell index out of range", "GET", "/v1/jobs/{done}/cells/7/result", "", nil, 404},
-		{"text format of a stream cell", "GET", "/v1/jobs/{done}/cells/0/result?format=text", "", nil, 400},
-		{"cell result", "GET", "/v1/jobs/{done}/cells/0/result", "", nil, 200},
-		{"status", "GET", "/v1/jobs/{done}", "", nil, 200},
-		{"list", "GET", "/v1/jobs", "", nil, 200},
+		{"bad JSON body", "POST", "/v1/jobs", `{"cells":`, nil, 400, false},
+		{"bad deadline", "POST", "/v1/jobs", `{"cells":[` + streamCell(2010) + `],"deadline":"soon"}`, nil, 400, false},
+		{"empty batch", "POST", "/v1/jobs", `{"cells":[]}`, nil, 400, true},
+		{"bad cell", "POST", "/v1/jobs", `{"cells":[` + streamCell(2012) + `,{"type":"stream","streams":[{"kind":"nope"}]}]}`, nil, 400, true},
+		{"invalid tenant", "POST", "/v1/jobs", `{"cells":[` + streamCell(2011) + `]}`, map[string]string{"X-Tenant": "no spaces allowed"}, 400, true},
+		{"unknown job status", "GET", "/v1/jobs/nope", "", nil, 404, false},
+		{"unknown job cancel", "DELETE", "/v1/jobs/nope", "", nil, 404, false},
+		{"unknown job events", "GET", "/v1/jobs/nope/events", "", nil, 404, false},
+		{"unknown job result", "GET", "/v1/jobs/nope/result", "", nil, 404, false},
+		{"result while running", "GET", "/v1/jobs/{running}/result", "", nil, 409, false},
+		{"cell index not a number", "GET", "/v1/jobs/{done}/cells/x/result", "", nil, 404, false},
+		{"cell index out of range", "GET", "/v1/jobs/{done}/cells/7/result", "", nil, 404, false},
+		{"text format of a stream cell", "GET", "/v1/jobs/{done}/cells/0/result?format=text", "", nil, 400, false},
+		{"cell result", "GET", "/v1/jobs/{done}/cells/0/result", "", nil, 200, false},
+		{"status", "GET", "/v1/jobs/{done}", "", nil, 200, false},
+		{"list", "GET", "/v1/jobs", "", nil, 200, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var shapes []edgeShape
+			var texts []string
 			for _, s := range p.sides() {
 				path := strings.NewReplacer("{done}", done[s.name], "{running}", running[s.name]).Replace(tc.path)
 				req, err := http.NewRequest(tc.method, s.url+path, strings.NewReader(tc.body))
@@ -225,14 +233,18 @@ func TestEdgeParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sh := shapeOf(t, resp)
+				sh, text := shapeOf(t, resp)
 				if sh.Code != tc.want {
 					t.Errorf("%s: status %d, want %d", s.name, sh.Code, tc.want)
 				}
 				shapes = append(shapes, sh)
+				texts = append(texts, text)
 			}
 			if shapes[0] != shapes[1] {
 				t.Errorf("daemon %+v != coordinator %+v", shapes[0], shapes[1])
+			}
+			if tc.sameText && texts[0] != texts[1] {
+				t.Errorf("error text: daemon %q != coordinator %q", texts[0], texts[1])
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -375,16 +374,8 @@ func (n *HANode) Handler() http.Handler {
 // handleRegister notes the heartbeat locally (standbys track the fleet
 // through it), then hands it to the coordinator when leading.
 func (n *HANode) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name string `json:"name"`
-		Addr string `json:"addr"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Addr == "" {
-		service.WriteError(w, http.StatusBadRequest, "missing addr")
+	req, ok := decodeRegister(w, r)
+	if !ok {
 		return
 	}
 	name := req.Name

@@ -109,20 +109,33 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 // POSTs {"name", "addr"} here every few hundred milliseconds, which
 // doubles as re-registration after a coordinator or worker restart.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name string `json:"name"`
-		Addr string `json:"addr"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Addr == "" {
-		service.WriteError(w, http.StatusBadRequest, "missing addr")
+	req, ok := decodeRegister(w, r)
+	if !ok {
 		return
 	}
 	c.AddWorker(c.dial(req.Name, req.Addr))
 	service.WriteJSON(w, http.StatusOK, c.Topology())
+}
+
+// registerRequest is the body of POST /v1/cluster/register.
+type registerRequest struct {
+	Name string `json:"name"`
+	Addr string `json:"addr"`
+}
+
+// decodeRegister reads a registration body for the coordinator's and the
+// HA node's register handlers. A body that does not decode or names no
+// addr gets its 400 here, and ok is false.
+func decodeRegister(w http.ResponseWriter, r *http.Request) (req registerRequest, ok bool) {
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		service.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return req, false
+	}
+	if req.Addr == "" {
+		service.WriteError(w, http.StatusBadRequest, "missing addr")
+		return req, false
+	}
+	return req, true
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"smtexplore/internal/service"
-	"smtexplore/internal/tenant"
 )
 
 // Coordinator-side multi-tenancy. The coordinator is the fleet's
@@ -75,13 +74,4 @@ func (c *Coordinator) QueueWaitEWMA() float64 {
 		}
 	}
 	return worst
-}
-
-// normTenant mirrors the daemon's defaulting: no tenant means the
-// default tenant, never an empty accounting bucket.
-func normTenant(name string) string {
-	if name == "" {
-		return tenant.Default
-	}
-	return name
 }

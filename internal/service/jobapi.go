@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"smtexplore/internal/tenant"
 )
 
 // JobAPI is the job surface a client sees. A single daemon (*Service)
@@ -21,6 +23,27 @@ type JobAPI interface {
 	// QueueWaitEWMA is the recent queue wait, in seconds, that a shed
 	// submission's Retry-After is derived from.
 	QueueWaitEWMA() float64
+}
+
+// ValidateSubmit is the admission check every job edge runs before any
+// queueing or routing: a non-empty batch of valid cells (observe cells
+// only where artifacts are served) under a valid tenant name. It returns
+// the normalised tenant; its errors are the edge's 400 bodies, so a
+// daemon and a coordinator refuse a submission in the same words.
+func ValidateSubmit(specs []CellSpec, tenantName string, artifacts bool) (string, error) {
+	if len(specs) == 0 {
+		return "", errors.New("service: empty batch")
+	}
+	for i, sp := range specs {
+		if err := sp.Validate(artifacts); err != nil {
+			return "", fmt.Errorf("service: cell %d: %w", i, err)
+		}
+	}
+	tn := NormTenant(tenantName)
+	if !tenant.ValidName(tn) {
+		return "", fmt.Errorf("service: invalid tenant name %q", tn)
+	}
+	return tn, nil
 }
 
 // ErrUnavailable is matched (errors.Is) by submission refusals that a

@@ -240,7 +240,7 @@ func (s *Service) noteQueueWait(tenantName string, wait time.Duration) {
 	s.queueWaitPops++
 	const alpha = 0.3 // recent pops dominate, but one outlier cannot
 	s.queueWaitEWMA = alpha*wait.Seconds() + (1-alpha)*s.queueWaitEWMA
-	ts := s.tstatsLocked(normTenant(tenantName))
+	ts := s.tstatsLocked(NormTenant(tenantName))
 	ts.queueWaitSeconds += wait.Seconds()
 	ts.queueWaitPops++
 	s.mu.Unlock()
@@ -285,7 +285,7 @@ func (s *Service) recoverJournal() {
 		j := newJob(rec.ID, rec.Specs)
 		j.Priority = rec.Priority
 		j.Deadline = rec.Deadline
-		j.Tenant = normTenant(rec.Tenant)
+		j.Tenant = NormTenant(rec.Tenant)
 		enqueued := false
 		s.mu.Lock()
 		s.jobs[j.ID] = j
@@ -353,17 +353,9 @@ func (s *Service) SubmitIdem(specs []CellSpec, idemKey string) (*Job, error) {
 // work while every worker is busy — preemption of the lowest-priority
 // running checkpointable job.
 func (s *Service) SubmitWith(specs []CellSpec, opts SubmitOptions) (*Job, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("service: empty batch")
-	}
-	for i, sp := range specs {
-		if err := sp.Validate(s.cfg.ArtifactDir != ""); err != nil {
-			return nil, fmt.Errorf("service: cell %d: %w", i, err)
-		}
-	}
-	tn := normTenant(opts.Tenant)
-	if !tenant.ValidName(tn) {
-		return nil, fmt.Errorf("service: invalid tenant name %q", tn)
+	tn, err := ValidateSubmit(specs, opts.Tenant, s.cfg.ArtifactDir != "")
+	if err != nil {
+		return nil, err
 	}
 	if err := faultinject.Hit(faultinject.PointQueueAdmit); err != nil {
 		s.mu.Lock()
@@ -727,7 +719,7 @@ func (s *Service) count(j *Job, state string) {
 	// recovered-but-abandoned jobs never were).
 	if j.charged {
 		j.charged = false
-		tn := normTenant(j.Tenant)
+		tn := NormTenant(j.Tenant)
 		if n := s.tenantCells[tn] - len(j.Specs); n > 0 {
 			s.tenantCells[tn] = n
 		} else {
@@ -739,7 +731,7 @@ func (s *Service) count(j *Job, state string) {
 func (s *Service) countCells(j *Job, results []CellResult) {
 	var cycles uint64
 	s.mu.Lock()
-	ts := s.tstatsLocked(normTenant(j.Tenant))
+	ts := s.tstatsLocked(NormTenant(j.Tenant))
 	for _, r := range results {
 		switch r.State {
 		case CellDone:
@@ -755,7 +747,7 @@ func (s *Service) countCells(j *Job, results []CellResult) {
 	}
 	ts.cyclesCharged += cycles
 	s.mu.Unlock()
-	s.cfg.Tenants.ChargeCycles(normTenant(j.Tenant), cycles, time.Now())
+	s.cfg.Tenants.ChargeCycles(NormTenant(j.Tenant), cycles, time.Now())
 }
 
 // stopIntake flips the service into draining mode and closes the queue

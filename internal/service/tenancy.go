@@ -64,8 +64,9 @@ func (s *Service) tstatsLocked(name string) *tenantStats {
 	return ts
 }
 
-// normTenant maps the empty identity onto the default tenant.
-func normTenant(name string) string {
+// NormTenant maps the empty identity onto the default tenant, so no job
+// is ever charged to an empty accounting bucket.
+func NormTenant(name string) string {
 	if name == "" {
 		return tenant.Default
 	}
@@ -110,7 +111,7 @@ func withTenantCtx(ctx context.Context, tn string) context.Context {
 
 func tenantFromCtx(ctx context.Context) string {
 	tn, _ := ctx.Value(tenantCtxKey{}).(string)
-	return normTenant(tn)
+	return NormTenant(tn)
 }
 
 // tenantMeter implements runner.Meter for one tenant: tier traffic

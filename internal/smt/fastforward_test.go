@@ -5,6 +5,7 @@ import (
 
 	"smtexplore/internal/isa"
 	"smtexplore/internal/perfmon"
+	"smtexplore/internal/streams"
 	"smtexplore/internal/trace"
 )
 
@@ -191,6 +192,51 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Fatalf("steady-state stepping allocates: %.2f allocs per 10k cycles", avg)
+			}
+		})
+	}
+}
+
+// TestRunZeroAllocLoopStreams: once warm, repeated Run calls on loop
+// streams allocate nothing — on a memory stream, where the periodic
+// detector stands down at its first sample; on an arithmetic pair whose
+// period outlasts the run, where it samples without ever firing; and on
+// an arithmetic stream, where it jumps. The nomination table and the
+// encoding buffers are reused across samples and across calls.
+func TestRunZeroAllocLoopStreams(t *testing.T) {
+	cases := []struct {
+		name  string
+		specs []streams.Spec
+		jumps bool
+	}{
+		{"memory", []streams.Spec{{Kind: streams.FLoadS, ILP: streams.MaxILP}}, false},
+		{"aperiodic", []streams.Spec{{Kind: streams.IMulS, ILP: streams.MinILP}, {Kind: streams.IDivS, ILP: streams.MinILP}}, false},
+		{"arithmetic", []streams.Spec{{Kind: streams.FMulS, ILP: streams.MedILP}}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(DefaultConfig())
+			defer m.Close()
+			for i, sp := range tc.specs {
+				m.LoadStream(i, streams.Open(sp))
+			}
+			if _, err := m.Run(50_000); err != nil {
+				t.Fatal(err)
+			}
+			samples, jumps := m.per.samples, m.per.jumps
+			avg := testing.AllocsPerRun(10, func() {
+				if _, err := m.Run(10_000); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("Run(10_000) allocates: %.2f allocs per call", avg)
+			}
+			if sampled := m.per.samples > samples; sampled != (tc.name != "memory") {
+				t.Fatalf("detector sampled during the measured calls: %v", sampled)
+			}
+			if jumped := m.per.jumps > jumps; jumped != tc.jumps {
+				t.Fatalf("periodic jumps during the measured calls: %v, want %v", jumped, tc.jumps)
 			}
 		})
 	}

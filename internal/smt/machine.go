@@ -174,6 +174,11 @@ type Machine struct {
 
 	// lastRetireCycle backs the deadlock watchdog.
 	lastRetireCycle uint64
+
+	// per is the exact periodic skip's detector (periodic.go); like
+	// ffNextTry it is never serialized. Last, so its kilobyte of
+	// sampling state stays clear of the fields the cycle loop touches.
+	per periodic
 }
 
 // Observer arming bits in Machine.armed.

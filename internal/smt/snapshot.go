@@ -303,6 +303,21 @@ func (m *Machine) Restore(s *Snapshot) error {
 	return nil
 }
 
+// runBound is the first cycle RunPausable's loop must re-examine — the
+// maxCycles edge, the next pause point or the deadlock-watchdog trigger
+// — so a skip clamped to it lands every loop condition on the exact
+// cycle it would fire under per-cycle stepping.
+func (m *Machine) runBound(start, maxCycles, nextPause uint64) uint64 {
+	b := m.lastRetireCycle + deadlockWindow + 1
+	if maxCycles != 0 && start+maxCycles < b {
+		b = start + maxCycles
+	}
+	if nextPause != 0 && nextPause < b {
+		b = nextPause
+	}
+	return b
+}
+
 // RunPausable is Run with cooperative pause points: every pauseEvery
 // cycles (0: never) the loop stops at a cycle boundary — where Snapshot
 // is legal — and calls pause. A true return abandons the run with
@@ -316,12 +331,16 @@ func (m *Machine) RunPausable(maxCycles, pauseEvery uint64, pause func() bool) (
 	if pauseEvery != 0 && pause != nil {
 		nextPause = m.cycle + pauseEvery
 	}
+	m.periodicArm()
 	for !m.Done() {
 		if maxCycles != 0 && m.cycle-start >= maxCycles {
 			return RunResult{Cycles: m.cycle - start}, nil
 		}
 		if nextPause != 0 && m.cycle >= nextPause {
 			nextPause = m.cycle + pauseEvery
+			// The hook may change the machine: a period under proof
+			// must restart.
+			m.per.candOK = false
 			if pause() {
 				return RunResult{Cycles: m.cycle - start, Paused: true}, nil
 			}
@@ -329,18 +348,13 @@ func (m *Machine) RunPausable(maxCycles, pauseEvery uint64, pause func() bool) (
 		if m.cycle-m.lastRetireCycle > deadlockWindow {
 			return RunResult{Cycles: m.cycle - start}, fmt.Errorf("%w at cycle %d", ErrDeadlock, m.cycle)
 		}
+		if m.periodicDue() && m.periodicSample(m.runBound(start, maxCycles, nextPause)) {
+			// Whole periods of a proven steady state (periodic.go).
+			continue
+		}
 		if m.ff && m.armed&armCycle == 0 && !debugNoWake && m.cycle >= m.ffNextTry {
-			// Event-driven skip over quiet cycles (fastforward.go),
-			// clamped so every loop condition above re-fires on the
-			// exact cycle it would have under per-cycle stepping.
-			bound := m.lastRetireCycle + deadlockWindow + 1
-			if maxCycles != 0 && start+maxCycles < bound {
-				bound = start + maxCycles
-			}
-			if nextPause != 0 && nextPause < bound {
-				bound = nextPause
-			}
-			if m.ffSkip(bound) {
+			// Event-driven skip over quiet cycles (fastforward.go).
+			if m.ffSkip(m.runBound(start, maxCycles, nextPause)) {
 				continue
 			}
 			// A busy machine stays busy: throttle the next attempt so a

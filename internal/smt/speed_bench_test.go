@@ -5,6 +5,7 @@ import (
 
 	"smtexplore/internal/isa"
 	"smtexplore/internal/perfmon"
+	"smtexplore/internal/streams"
 	"smtexplore/internal/trace"
 )
 
@@ -107,6 +108,34 @@ func BenchmarkStepMemBound(b *testing.B) {
 			m.SetFastForward(ff.on)
 			m.LoadProgram(0, trace.Forever(loadChainBody(0x4000_0000, 8<<20)))
 			benchCycles(b, m)
+		})
+	}
+}
+
+// BenchmarkStreamCell measures whole Figure 1/2 stream cells as the
+// experiments layer runs them — streams opened as loop streams
+// (streams.Open), 60 000-cycle window — one op per cell: an arithmetic
+// solo and an arithmetic pair, whose steady states the periodic skip
+// jumps over, and a memory pair, which it never touches.
+func BenchmarkStreamCell(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cell streamCell
+	}{
+		{"arith-solo", streamCell{{Kind: streams.FAddS, ILP: streams.MaxILP}}},
+		{"arith-pair", streamCell{{Kind: streams.IMulS, ILP: streams.MedILP}, {Kind: streams.FAddS, ILP: streams.MedILP}}},
+		{"mem-pair", streamCell{{Kind: streams.ILoadS, ILP: streams.MaxILP}, {Kind: streams.FStoreS, ILP: streams.MaxILP}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := New(DefaultConfig())
+				bc.cell.load(m)
+				if _, err := m.Run(60_000); err != nil {
+					b.Fatal(err)
+				}
+				m.Close()
+			}
 		})
 	}
 }

@@ -151,6 +151,16 @@ func (s *Stream) Skip(n uint64) uint64 {
 // Done reports whether the program is exhausted.
 func (s *Stream) Done() bool { return s.done }
 
+// LoopLen returns the body length of a live NewLoop stream — the number
+// of instructions after which it repeats exactly — and 0 for generated
+// or closed streams.
+func (s *Stream) LoopLen() int {
+	if s.loop == nil || s.done {
+		return 0
+	}
+	return len(s.loop)
+}
+
 // Close releases the generator. Safe to call multiple times.
 func (s *Stream) Close() {
 	s.done = true

@@ -35,6 +35,7 @@ run_benches() (
 		go test -run '^$' -bench 'BenchmarkFig1StreamCPI$' -benchtime 3x .
 		go test -run '^$' -bench 'BenchmarkSimRate$|BenchmarkStepCompute|BenchmarkStepObserver|BenchmarkStepMemBound' \
 			-benchtime 300000x ./internal/smt
+		go test -run '^$' -bench 'BenchmarkStreamCell' -benchtime 10x ./internal/smt
 	done
 )
 

@@ -6,9 +6,10 @@
 #   scripts/bench-record.sh [OUT.json]
 #
 # The set is the simulator-core performance surface: the cold Figure-1
-# macro-benchmark (cells/s plus the reproduced shape metrics) and the
+# macro-benchmark (cells/s plus the reproduced shape metrics), the
 # per-cycle stepping micro-benchmarks (1/2 contexts, armed/disarmed
-# observers, fast-forward off/on), all with allocation stats. Benchmarks
+# observers, fast-forward off/on) and whole loop-stream cells
+# (arithmetic solo and pair, memory pair), all with allocation stats. Benchmarks
 # whose results are machine-load-dependent by design (the runner's
 # parallel speedup) are deliberately excluded. The set is run in three
 # full passes (repeats of one benchmark minutes apart, so a load burst
@@ -25,6 +26,7 @@ for _pass in 1 2 3; do
 	go test -run '^$' -bench 'BenchmarkFig1StreamCPI$' -benchtime 3x . | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkSimRate$|BenchmarkStepCompute|BenchmarkStepObserver|BenchmarkStepMemBound' \
 		-benchtime 300000x ./internal/smt | tee -a "$tmp"
+	go test -run '^$' -bench 'BenchmarkStreamCell' -benchtime 10x ./internal/smt | tee -a "$tmp"
 done
 
 go run ./cmd/benchgate record \
