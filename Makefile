@@ -25,11 +25,14 @@ test:
 # Ordering races that fail one run in five (a terminal journal write
 # racing the job's Done channel, a breaker cooldown shorter than one
 # request, the coordinator's progress streams, the SSE headers of a
-# still-queued job, the daemon/coordinator edge parity) must fail the
-# gate, not surface as a rare flake.
+# still-queued job, the daemon/coordinator edge parity, a worker death
+# racing the job's end, the job-API client's stream replay and resume)
+# must fail the gate, not surface as a rare flake.
 flake-guard:
 	$(GO) test ./internal/service/ -run 'TestJournalRecoveryReRunsLostJobs$$|TestHTTPHealthzDegradedAndRecovery$$' -count=40
 	$(GO) test ./internal/cluster/ -run '^TestStream|^TestEdge' -count=40
+	$(GO) test -race ./internal/cluster/ -run 'TestDeathWithNoSurvivorFailsExplicitly$$' -count=30
+	$(GO) test ./internal/api/ -run 'TestFollowReplayResumeAndNotFound$$' -count=40
 
 race:
 	$(GO) test -race -timeout 50m ./...

@@ -5,11 +5,14 @@
 // POST /v1/faults) run on the scenario's timeline, so the same tool
 // proves both isolation under contention and survival under failure.
 //
+// Each job is followed over the target's SSE event stream, and its
+// latency runs from the submit to the receipt of its end event.
 // Against an HA coordinator pair, -addr takes both addresses
-// ("a:1,b:2"): submissions retry across transport errors and follow
-// X-Cluster-Leader redirects, so killing the active coordinator
-// mid-run shows up as latency, not failed jobs. The post-run report
-// captures the pair's failover latency and adoption counters.
+// ("a:1,b:2"): submissions and streams retry across transport errors
+// and follow X-Cluster-Leader redirects, so killing the active
+// coordinator mid-run shows up as latency, not failed jobs. The
+// post-run report captures the pair's failover latency and adoption
+// counters.
 //
 // Usage:
 //
@@ -37,6 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -48,6 +52,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("loadgen: ")
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:]); err != nil {
@@ -75,7 +81,6 @@ func run(ctx context.Context, args []string) error {
 	baselinePath := fs.String("baseline", "", "baseline report JSON for relative assertions (a solo run)")
 	seed := fs.Uint64("seed", 0, "override the scenario's seed (0: keep the scenario's)")
 	duration := fs.Duration("duration", 0, "override the scenario's duration (0: keep the scenario's)")
-	poll := fs.Duration("poll", 0, "job-completion poll interval (0: 50ms default)")
 	var assertSpecs multiFlag
 	fs.Var(&assertSpecs, "assert", "SLO assertion (repeatable; see package docs)")
 	if err := fs.Parse(args); err != nil {
@@ -114,7 +119,7 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 
-	r := &loadgen.Runner{Target: *addr, Log: os.Stderr, PollEvery: *poll}
+	r := &loadgen.Runner{Target: *addr, Log: os.Stderr}
 	rep, err := r.Run(ctx, sc)
 	if err != nil {
 		return err

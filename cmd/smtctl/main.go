@@ -33,8 +33,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -43,10 +41,8 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -102,7 +98,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	server := fs.String("server", "", "comma-separated server addresses for HA failover; overrides -addr (tries the next on refusal, follows X-Cluster-Leader redirects)")
 	maxRetries := fs.Int("max-retries", 5, "retries for transient failures (429/502/503/504, dropped connections); 0 disables")
 	timeout := fs.Duration("timeout", 0, "per-request budget; wait re-dials the event stream when it is silent this long (0: none)")
-	tenantName := fs.String("tenant", "", "submit as this tenant (X-Tenant header; empty: the daemon's default tenant)")
+	tenantName := fs.String("tenant", "", "submit as this tenant (the batch's tenant field; empty: the daemon's default tenant)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: smtctl [-addr host:port | -server a,b] [-max-retries n] [-timeout d] [-tenant name] submit|status|wait|result|cancel|cluster|study [args]")
 		fs.PrintDefaults()
@@ -121,7 +117,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if addrs == "" {
 		addrs = *addr
 	}
-	c := client{ctx: ctx, eps: api.NewEndpoints(addrs, "127.0.0.1:8377"), out: out, retry: newRetrier(*maxRetries), timeout: *timeout, tenant: *tenantName}
+	c := client{
+		ctx:     ctx,
+		api:     api.NewClient(api.NewEndpoints(addrs, "127.0.0.1:8377"), *maxRetries, *timeout, true),
+		out:     out,
+		retries: *maxRetries,
+		timeout: *timeout,
+		tenant:  *tenantName,
+	}
 	switch rest[0] {
 	case "submit":
 		return c.submit(rest[1:])
@@ -142,71 +145,24 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 }
 
 type client struct {
-	ctx     context.Context
-	eps     *api.Endpoints
-	out     io.Writer
-	retry   retrier
+	ctx context.Context
+	// api is the job-API client: -server failover, -max-retries and the
+	// per-request -timeout, with backpressure (429) retried too.
+	api *api.Client
+	out io.Writer
+	// retries and timeout also pace wait's re-dials of a broken or
+	// silent event stream.
+	retries int
 	timeout time.Duration
-	// tenant, when non-empty, rides every submission as X-Tenant.
+	// tenant, when non-empty, rides every submission in its tenant field.
 	tenant string
 }
 
-// base is the URL prefix for the next request — the current pick among
-// the -server endpoints (a single -addr degenerates to one entry).
-func (c client) base() string { return c.eps.Base() }
-
-// do sends the request and lets the endpoint picker see the outcome,
-// so transport errors rotate to the next server and standby 503s jump
-// to the advertised leader before the retrier's next attempt.
-func (c client) do(hreq *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultClient.Do(hreq)
-	c.eps.Observe(resp, err)
-	return resp, err
-}
-
-// get issues a ctx-bound GET so a signal cancels in-flight requests,
-// not just backoff waits; -timeout additionally deadlines the attempt
-// (headers and body both — the budget stays armed until Close).
-func (c client) get(path string) (*http.Response, error) {
-	rctx, cancel := c.reqCtx()
-	hreq, err := http.NewRequestWithContext(rctx, http.MethodGet, c.base()+path, nil)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp, err := c.do(hreq)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
-}
-
-// apiError extracts the service's {"error": ...} body.
-func apiError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return fmt.Errorf("%s: %s", resp.Status, e.Error)
-	}
-	return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-}
-
-func (c client) getJSON(path string, v any) error {
-	resp, err := c.retry.do(c.ctx, "get "+path, func() (*http.Response, error) {
-		return c.get(path)
-	})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
+// printJSON writes v indented, the way every command shows a response.
+func (c client) printJSON(v any) error {
+	enc := json.NewEncoder(c.out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // submit builds a one-cell batch from flags (or reads a raw batch from
@@ -279,6 +235,9 @@ func (c client) submit(args []string) error {
 		req.Priority = *priority
 	}
 
+	if c.tenant != "" {
+		req.Tenant = c.tenant
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -286,49 +245,11 @@ func (c client) submit(args []string) error {
 	// The idempotency key is the content hash of the batch: if a retried
 	// submit reaches a daemon that already accepted the first attempt,
 	// the daemon hands back the live job instead of running it twice.
-	idemKey := fmt.Sprintf("%x", sha256.Sum256(body))
-	resp, err := c.retry.do(c.ctx, "submit", func() (*http.Response, error) {
-		rctx, cancel := c.reqCtx()
-		hreq, err := http.NewRequestWithContext(rctx, http.MethodPost, c.base()+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set("Idempotency-Key", idemKey)
-		if c.tenant != "" {
-			hreq.Header.Set("X-Tenant", c.tenant)
-		}
-		resp, err := c.do(hreq)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-		return resp, nil
-	})
+	id, err := c.api.Submit(c.ctx, req, fmt.Sprintf("%x", sha256.Sum256(body)))
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		if resp.StatusCode == http.StatusTooManyRequests {
-			err := apiError(resp)
-			if cause := resp.Header.Get("X-Quota-Cause"); cause != "" {
-				err = fmt.Errorf("%w (tenant quota: %s)", err, cause)
-			}
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				err = fmt.Errorf("%w (retry after %ss)", err, ra)
-			}
-			return err
-		}
-		return apiError(resp)
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return err
-	}
-	fmt.Fprintln(c.out, st.ID)
+	fmt.Fprintln(c.out, id)
 	return nil
 }
 
@@ -348,13 +269,11 @@ func (c client) status(args []string) error {
 	if err != nil {
 		return err
 	}
-	var st service.JobStatus
-	if err := c.getJSON("/v1/jobs/"+id, &st); err != nil {
+	st, err := c.api.Status(c.ctx, id)
+	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(c.out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(st)
+	return c.printJSON(st)
 }
 
 // wait follows the job's SSE stream until the terminal event, printing
@@ -363,9 +282,10 @@ func (c client) status(args []string) error {
 // error is surfaced the moment its event arrives, not at the end.
 //
 // A dropped stream is not an error: wait tracks the id of the last
-// event it saw and reconnects with Last-Event-ID, so the daemon replays
-// exactly the missed events and the outcome mapping is unaffected (up
-// to -max-retries reconnects).
+// event it saw and re-dials after it, so the daemon replays exactly the
+// missed events and the outcome mapping is unaffected (up to
+// -max-retries re-dials). A stream silent for -timeout is re-dialled the
+// same way.
 func (c client) wait(args []string) error {
 	fs := flag.NewFlagSet("smtctl wait", flag.ContinueOnError)
 	quiet := fs.Bool("q", false, "suppress per-cell progress lines")
@@ -376,119 +296,74 @@ func (c client) wait(args []string) error {
 	if err != nil {
 		return err
 	}
-	lastID := -1
+	last := -1
 	for try := 0; ; try++ {
-		// The stream itself may legitimately outlive -timeout, so the
-		// connection context has no deadline; instead an idle watchdog
-		// cancels it when the stream goes silent for -timeout, and the
-		// Last-Event-ID reconnect replays whatever was missed.
+		// The stream may legitimately outlive -timeout, so it has no
+		// deadline; instead an idle watchdog, re-armed by every event,
+		// cancels it when the stream goes silent for -timeout.
 		wctx, wcancel := context.WithCancel(c.ctx)
-		resp, err := c.retry.do(c.ctx, "wait "+id, func() (*http.Response, error) {
-			hreq, err := http.NewRequestWithContext(wctx, http.MethodGet, c.base()+"/v1/jobs/"+id+"/events", nil)
-			if err != nil {
-				return nil, err
-			}
-			if lastID >= 0 {
-				hreq.Header.Set("Last-Event-ID", strconv.Itoa(lastID))
-			}
-			return c.do(hreq)
-		})
-		if err != nil {
-			wcancel()
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			defer wcancel()
-			defer resp.Body.Close()
-			return apiError(resp)
-		}
-		var body io.Reader = resp.Body
 		var idle *time.Timer
 		if c.timeout > 0 {
 			idle = time.AfterFunc(c.timeout, wcancel)
-			body = idleReset{r: resp.Body, timer: idle, d: c.timeout}
 		}
-		done, outcome, cause := c.followEvents(body, id, *quiet, &lastID)
+		end, err := c.api.Follow(wctx, id, last, func(ev service.Event) {
+			last = ev.Seq
+			if idle != nil {
+				idle.Reset(c.timeout)
+			}
+			if ev.Type == "cell" {
+				c.printCell(ev, *quiet)
+			}
+		})
 		if idle != nil {
 			idle.Stop()
 		}
-		if wctx.Err() != nil && c.ctx.Err() == nil {
-			cause = fmt.Errorf("no events for %v (idle watchdog)", c.timeout)
-		}
-		resp.Body.Close()
+		idled := wctx.Err() != nil && c.ctx.Err() == nil
 		wcancel()
-		if done {
-			return outcome
+		switch {
+		case err == nil:
+			return c.outcome(id, end, *quiet)
+		case c.ctx.Err() != nil, errors.Is(err, api.ErrJobNotFound):
+			return err
+		case idled:
+			err = fmt.Errorf("no events for %v (idle watchdog)", c.timeout)
 		}
-		if try >= c.retry.max {
-			return fmt.Errorf("event stream interrupted: %v", cause)
+		if try >= c.retries {
+			return fmt.Errorf("event stream interrupted: %v", err)
 		}
-		log.Printf("wait %s: %v; retrying from event %d (%d/%d)", id, cause, lastID, try+1, c.retry.max)
+		log.Printf("wait %s: %v; retrying from event %d (%d/%d)", id, err, last, try+1, c.retries)
 	}
 }
 
-// followEvents consumes one SSE connection. done reports that a
-// terminal end event arrived, with the mapped outcome; otherwise cause
-// says why the stream stopped early. lastID advances past every event
-// seen, so the caller can resume without duplicates.
-func (c client) followEvents(body io.Reader, id string, quiet bool, lastID *int) (done bool, outcome, cause error) {
-	var event string
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			if n, err := strconv.Atoi(strings.TrimPrefix(line, "id: ")); err == nil {
-				*lastID = n
-			}
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "cell":
-				var ev service.Event
-				if err := json.Unmarshal([]byte(data), &ev); err != nil {
-					return true, fmt.Errorf("bad event payload: %w", err), nil
-				}
-				switch {
-				case ev.State == service.CellFailed:
-					fmt.Fprintf(os.Stderr, "smtctl: cell %d (%s) failed: %s\n", ev.Cell, ev.Label, ev.Error)
-				case quiet:
-				case (ev.State == service.CellPreempted || ev.State == service.CellResumed) && ev.Error != "":
-					// Preemption/resume events carry a detail message (why the
-					// cell yielded, how many cycles the checkpoint saved).
-					fmt.Fprintf(c.out, "cell %d (%s): %s: %s\n", ev.Cell, ev.Label, ev.State, ev.Error)
-				default:
-					fmt.Fprintf(c.out, "cell %d (%s): %s\n", ev.Cell, ev.Label, ev.State)
-				}
-			case "end":
-				var end struct {
-					State string `json:"state"`
-					Error string `json:"error"`
-				}
-				if err := json.Unmarshal([]byte(data), &end); err != nil {
-					return true, fmt.Errorf("bad end payload: %w", err), nil
-				}
-				switch end.State {
-				case service.JobDone:
-					if !quiet {
-						fmt.Fprintf(c.out, "%s done\n", id)
-					}
-					return true, nil, nil
-				case service.JobCancelled:
-					return true, fmt.Errorf("%w: %s: %s", errJobCancelled, id, end.Error), nil
-				default:
-					return true, fmt.Errorf("%w: %s: %s", errJobFailed, id, end.Error), nil
-				}
-			}
+// printCell reports one cell event; a cell error is surfaced the moment
+// its event arrives, even under -q.
+func (c client) printCell(ev service.Event, quiet bool) {
+	switch {
+	case ev.State == service.CellFailed:
+		fmt.Fprintf(os.Stderr, "smtctl: cell %d (%s) failed: %s\n", ev.Cell, ev.Label, ev.Error)
+	case quiet:
+	case (ev.State == service.CellPreempted || ev.State == service.CellResumed) && ev.Error != "":
+		// Preemption/resume events carry a detail message (why the
+		// cell yielded, how many cycles the checkpoint saved).
+		fmt.Fprintf(c.out, "cell %d (%s): %s: %s\n", ev.Cell, ev.Label, ev.State, ev.Error)
+	default:
+		fmt.Fprintf(c.out, "cell %d (%s): %s\n", ev.Cell, ev.Label, ev.State)
+	}
+}
+
+// outcome maps the end event onto wait's result.
+func (c client) outcome(id string, end service.Event, quiet bool) error {
+	switch end.State {
+	case service.JobDone:
+		if !quiet {
+			fmt.Fprintf(c.out, "%s done\n", id)
 		}
+		return nil
+	case service.JobCancelled:
+		return fmt.Errorf("%w: %s: %s", errJobCancelled, id, end.Error)
+	default:
+		return fmt.Errorf("%w: %s: %s", errJobFailed, id, end.Error)
 	}
-	if err := sc.Err(); err != nil {
-		return false, nil, err
-	}
-	return false, nil, errors.New("stream ended before the job finished")
 }
 
 func (c client) result(args []string) error {
@@ -505,37 +380,29 @@ func (c client) result(args []string) error {
 	if *text && *cell < 0 {
 		return usage(fs, "-text requires -cell")
 	}
-	if *cell >= 0 {
-		path := fmt.Sprintf("/v1/jobs/%s/cells/%d/result", id, *cell)
-		if *text {
-			resp, err := c.retry.do(c.ctx, "result "+id, func() (*http.Response, error) {
-				return c.get(path + "?format=text")
-			})
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return apiError(resp)
-			}
-			_, err = io.Copy(c.out, resp.Body)
+	if *cell < 0 {
+		res, err := c.api.Result(c.ctx, id)
+		if err != nil {
 			return err
 		}
-		var res service.CellResult
-		if err := c.getJSON(path, &res); err != nil {
-			return err
-		}
-		enc := json.NewEncoder(c.out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+		return c.printJSON(res)
 	}
-	var res service.JobResult
-	if err := c.getJSON("/v1/jobs/"+id+"/result", &res); err != nil {
+	res, err := c.api.CellResult(c.ctx, id, *cell)
+	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(c.out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
+	if !*text {
+		return c.printJSON(res)
+	}
+	// The cell's text is the harness's formatted output, verbatim.
+	switch {
+	case res.State != service.CellDone:
+		return fmt.Errorf("cell %d %s: %s", res.Index, res.State, res.Error)
+	case res.Text == "":
+		return fmt.Errorf("cell %d: text format is only available for harness cells", res.Index)
+	}
+	_, err = io.WriteString(c.out, res.Text)
+	return err
 }
 
 func (c client) cancel(args []string) error {
@@ -549,30 +416,8 @@ func (c client) cancel(args []string) error {
 	}
 	// Cancelling an already-cancelled job is a no-op server-side, so the
 	// DELETE is safe to retry.
-	resp, err := c.retry.do(c.ctx, "cancel "+id, func() (*http.Response, error) {
-		rctx, cancel := c.reqCtx()
-		hreq, err := http.NewRequestWithContext(rctx, http.MethodDelete, c.base()+"/v1/jobs/"+id, nil)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		resp, err := c.do(hreq)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-		return resp, nil
-	})
+	st, err := c.api.Cancel(c.ctx, id)
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "%s %s\n", st.ID, st.State)
@@ -595,13 +440,11 @@ func (c client) cluster(args []string) error {
 		return usage(fs, "cluster takes no arguments")
 	}
 	var top cluster.Topology
-	if err := c.getJSON("/v1/cluster", &top); err != nil {
+	if err := c.api.GetJSON(c.ctx, "/v1/cluster", &top); err != nil {
 		return err
 	}
 	if *asJSON {
-		enc := json.NewEncoder(c.out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(top)
+		return c.printJSON(top)
 	}
 	fmt.Fprintf(c.out, "%-12s %-21s %-6s %11s %12s %8s\n", "worker", "addr", "alive", "outstanding", "qwait-ewma", "hb-age")
 	for _, w := range top.Workers {

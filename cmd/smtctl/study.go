@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"smtexplore/internal/cluster"
 	"smtexplore/internal/store"
 	"smtexplore/internal/study"
 	"smtexplore/internal/study/execute"
@@ -46,7 +44,7 @@ func (c client) studyRun(args []string) error {
 	fs := flag.NewFlagSet("smtctl study run", flag.ContinueOnError)
 	file := fs.String("f", "", "study spec file, JSON or Markdown (\"-\": stdin)")
 	dir := fs.String("dir", "study-out", "state root; the run persists under <dir>/<name>/")
-	via := fs.String("via", "local", "backend: local (in-process) or daemon (the -addr smtd/coordinator)")
+	via := fs.String("via", "local", "backend: local (in-process) or daemon (the -addr smtd/coordinator, or the -server pair)")
 	storeDir := fs.String("store", "", "local backend result store (default <dir>/<name>/store)")
 	workers := fs.Int("workers", 0, "local backend simulation workers (0: one per CPU)")
 	printReport := fs.Bool("report", false, "print the full Markdown report instead of the summary")
@@ -87,7 +85,7 @@ func (c client) studyRun(args []string) error {
 		}
 		backend = execute.NewLocal(st)
 	case "daemon":
-		backend = &execute.Remote{Worker: cluster.NewRemote("daemon", c.eps.Addr())}
+		backend = &execute.Remote{Client: c.api}
 	default:
 		return usage(fs, "unknown backend %q (want local or daemon)", *via)
 	}
@@ -143,9 +141,7 @@ func (c client) studyStatus(args []string) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(c.out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sum)
+	return c.printJSON(sum)
 }
 
 func (c client) studyReport(args []string) error {

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"smtexplore/internal/api"
 	"smtexplore/internal/service"
 	"smtexplore/internal/tenant"
 )
@@ -743,7 +744,7 @@ func (c *Coordinator) runGroupOn(cj *cjob, g *group) (done, backpressured bool) 
 			// the job: honour the worker's Retry-After (bounded so a
 			// congestion-inflated hint cannot stall the group), retry, and
 			// after the in-place tries route around the busy worker.
-			var refused *RefusedError
+			var refused *api.RefusedError
 			if errors.As(err, &refused) {
 				if !refused.Backpressure() {
 					cj.failGroup(g, fmt.Sprintf("worker %s refused batch: %s", g.worker, refused.Error()))
@@ -761,7 +762,7 @@ func (c *Coordinator) runGroupOn(cj *cjob, g *group) (done, backpressured bool) 
 			}
 		}
 		if err != nil {
-			var refused *RefusedError
+			var refused *api.RefusedError
 			if errors.As(err, &refused) && refused.Backpressure() {
 				return false, true
 			}
@@ -810,7 +811,7 @@ func (c *Coordinator) follow(cj *cjob, g *group, w Worker, live context.Context)
 			cj.failGroup(g, "coordinator shut down")
 			return true
 		}
-		if errors.Is(err, ErrJobNotFound) {
+		if errors.Is(err, api.ErrJobNotFound) {
 			return false
 		}
 		select {

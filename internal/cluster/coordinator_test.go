@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"smtexplore/internal/api"
 	"smtexplore/internal/service"
 )
 
@@ -95,7 +96,7 @@ func (f *fakeWorker) Follow(_ context.Context, id string, since int, onEvent fun
 		return "", fmt.Errorf("%s: connection refused", f.name)
 	}
 	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrJobNotFound, id)
+		return "", fmt.Errorf("%w: %s", api.ErrJobNotFound, id)
 	}
 	if since < 0 {
 		onEvent(service.Event{Seq: 0, Type: "job", Job: id, State: service.JobRunning})
@@ -329,7 +330,10 @@ func TestWorkerDeathMigratesGroup(t *testing.T) {
 func TestDeathWithNoSurvivorFailsExplicitly(t *testing.T) {
 	c := New(fastCfg())
 	defer c.Close()
-	only := newFakeWorker("only")
+	// A held worker cannot end the job before it dies: a plain fake
+	// finishes the cell on submit, racing the death below.
+	only := newHoldWorker("only")
+	defer only.release()
 	c.AddWorker(only)
 	j, err := c.SubmitWith([]service.CellSpec{{Type: service.TypeStream, Streams: []service.StreamSpec{{Kind: "fadd"}}}}, service.SubmitOptions{})
 	if err != nil {

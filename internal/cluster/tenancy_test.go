@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"smtexplore/internal/api"
 	"smtexplore/internal/service"
 	"smtexplore/internal/tenant"
 )
@@ -162,7 +163,7 @@ type refuseWorker struct {
 }
 
 func (r *refuseWorker) Submit(context.Context, service.SubmitRequest, string) (string, error) {
-	return "", &RefusedError{Status: http.StatusTooManyRequests, Cause: service.QuotaQueuedJobs, Msg: "429: over quota"}
+	return "", &api.RefusedError{Status: http.StatusTooManyRequests, Cause: service.QuotaQueuedJobs, Msg: "429: over quota"}
 }
 
 func TestWorkerRefusalShedsGroupNotWorker(t *testing.T) {
@@ -206,7 +207,7 @@ func (b *backpressureWorker) Submit(ctx context.Context, req service.SubmitReque
 	}
 	b.mu.Unlock()
 	if shed {
-		return "", &RefusedError{Status: http.StatusTooManyRequests, Msg: "429: shed", RetryAfter: time.Millisecond}
+		return "", &api.RefusedError{Status: http.StatusTooManyRequests, Msg: "429: shed", RetryAfter: time.Millisecond}
 	}
 	return b.fakeWorker.Submit(ctx, req, key)
 }

@@ -62,8 +62,7 @@ func TestRunnerFailsOverMidRun(t *testing.T) {
 		Tenants:  []TenantLoad{{Name: "light", RateHz: 30}},
 	}
 	r := &Runner{
-		Target:    deadAddr + "," + strings.TrimPrefix(standby.URL, "http://"),
-		PollEvery: 5 * time.Millisecond,
+		Target: deadAddr + "," + strings.TrimPrefix(standby.URL, "http://"),
 	}
 	rep, err := r.Run(context.Background(), sc)
 	if err != nil {
@@ -111,7 +110,7 @@ func TestFaultsPhaseArmsPlan(t *testing.T) {
 		Tenants:  []TenantLoad{{Name: "light", RateHz: 20}},
 		Phases:   []Phase{{At: dur(50 * time.Millisecond), Kind: PhaseFaults, Plan: plan}},
 	}
-	r := &Runner{Target: strings.TrimPrefix(srv.URL, "http://"), PollEvery: 5 * time.Millisecond}
+	r := &Runner{Target: strings.TrimPrefix(srv.URL, "http://")}
 	if _, err := r.Run(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestFaultsPhaseRefusalIsNonFatal(t *testing.T) {
 		Tenants:  []TenantLoad{{Name: "light", RateHz: 20}},
 		Phases:   []Phase{{At: dur(30 * time.Millisecond), Kind: PhaseFaults, Plan: plan}},
 	}
-	r := &Runner{Target: strings.TrimPrefix(srv.URL, "http://"), PollEvery: 5 * time.Millisecond}
+	r := &Runner{Target: strings.TrimPrefix(srv.URL, "http://")}
 	rep, err := r.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,8 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -17,27 +16,8 @@ import (
 	"time"
 
 	"smtexplore/internal/api"
+	"smtexplore/internal/service"
 )
-
-// submitRequest mirrors the daemon's POST /v1/jobs body. Declared
-// locally so the harness exercises the wire contract, not shared Go
-// structs — a field the daemon renames breaks this harness the same
-// way it breaks real clients.
-type submitRequest struct {
-	Cells    []cellSpec `json:"cells"`
-	Priority int        `json:"priority,omitempty"`
-	Deadline string     `json:"deadline,omitempty"`
-}
-
-type cellSpec struct {
-	Type    string       `json:"type"`
-	Streams []streamSpec `json:"streams"`
-	Window  uint64       `json:"window,omitempty"`
-}
-
-type streamSpec struct {
-	Kind string `json:"kind"`
-}
 
 // jobOutcome is one submitted job's fate.
 type jobOutcome struct {
@@ -55,48 +35,42 @@ type Runner struct {
 	Target string // host:port of smtd or coordinator; "a,b" for an HA pair
 	// Log receives progress lines (nil: quiet).
 	Log io.Writer
-	// Client overrides the HTTP client (tests); nil uses a 10s-timeout
-	// default.
-	Client *http.Client
-	// PollEvery paces job-completion polling (0 → 50ms).
-	PollEvery time.Duration
 	// Kill overrides the kill phase's action (tests); nil sends SIGKILL
 	// to the pidfile's process.
 	Kill func(pidfile string) error
-	// SubmitRetry bounds how long a submission keeps retrying across
-	// transport errors and leaderless 503s before counting as an error
-	// (0 → 5s). This is what turns a coordinator failover into added
-	// latency instead of failed jobs.
-	SubmitRetry time.Duration
 
-	tsOnce sync.Once
-	ts     *api.Endpoints
+	once sync.Once
+	ts   *api.Endpoints
+	c    *api.Client
 }
 
-func (r *Runner) client() *http.Client {
-	if r.Client != nil {
-		return r.Client
-	}
-	return &http.Client{Timeout: 10 * time.Second}
+// Client budget: retries ride out a coordinator failover (transport
+// errors and leaderless 503s rotate through the targets with backoff)
+// instead of counting it as errors, and a 429 is final — it is the
+// shed the harness measures.
+const (
+	retries        = 8
+	requestTimeout = 10 * time.Second
+	// redialWait paces re-dials of a job's event stream after it broke
+	// or the target did not know the job (yet).
+	redialWait = 100 * time.Millisecond
+)
+
+func (r *Runner) setup() {
+	r.once.Do(func() {
+		r.ts = api.NewEndpoints(r.Target, "")
+		r.c = api.NewClient(r.ts, retries, requestTimeout, false)
+	})
 }
 
 func (r *Runner) targets() *api.Endpoints {
-	r.tsOnce.Do(func() { r.ts = api.NewEndpoints(r.Target, "") })
+	r.setup()
 	return r.ts
 }
 
-func (r *Runner) submitRetry() time.Duration {
-	if r.SubmitRetry > 0 {
-		return r.SubmitRetry
-	}
-	return 5 * time.Second
-}
-
-func (r *Runner) pollEvery() time.Duration {
-	if r.PollEvery > 0 {
-		return r.PollEvery
-	}
-	return 50 * time.Millisecond
+func (r *Runner) client() *api.Client {
+	r.setup()
+	return r.c
 }
 
 func (r *Runner) logf(format string, v ...any) {
@@ -204,23 +178,7 @@ func (r *Runner) armFaults(ctx context.Context, planFile string) error {
 	if err != nil {
 		return err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+r.targets().Addr()+"/v1/faults", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := r.client().Do(hreq)
-	r.targets().Observe(resp, err)
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: arm faults: %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	return nil
+	return r.client().PostJSON(ctx, "/v1/faults", data)
 }
 
 // collectTelemetry asks the target how the run looked from the inside:
@@ -238,7 +196,7 @@ func (r *Runner) collectTelemetry(ctx context.Context, rep *Report) {
 		StoreIOErrors  uint64
 		FaultsInjected uint64
 	}
-	if r.getJSON(ctx, "/v1/stats", &m) == nil {
+	if r.client().GetJSON(ctx, "/v1/stats", &m) == nil {
 		rep.Daemon = &DaemonStats{
 			BreakerState:   m.BreakerState,
 			StoreDegraded:  m.StoreDegraded,
@@ -253,28 +211,11 @@ func (r *Runner) collectTelemetry(ctx context.Context, rep *Report) {
 		JobsAdopted            uint64  `json:"jobs_adopted"`
 		FailoverLatencySeconds float64 `json:"failover_latency_seconds"`
 	}
-	if r.getJSON(ctx, "/v1/cluster", &top) == nil && top.Role != "" {
+	if r.client().GetJSON(ctx, "/v1/cluster", &top) == nil && top.Role != "" {
 		rep.Promotions = top.Promotions
 		rep.JobsAdopted = top.JobsAdopted
 		rep.FailoverLatencySeconds = top.FailoverLatencySeconds
 	}
-}
-
-func (r *Runner) getJSON(ctx context.Context, path string, v any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.targets().Addr()+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client().Do(hreq)
-	r.targets().Observe(resp, err)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: %s: %s", path, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // generate replays one tenant's precomputed arrival schedule.
@@ -304,127 +245,61 @@ func (r *Runner) generate(ctx context.Context, t *TenantLoad, sc Scenario, start
 }
 
 // submitAndWatch submits one job and follows it to a terminal state.
+// Its latency runs from the submit to the receipt of the job's end
+// event.
 func (r *Runner) submitAndWatch(ctx context.Context, t *TenantLoad, seq uint64, sc Scenario) jobOutcome {
 	out := jobOutcome{tenant: t.Name, cells: t.cells()}
-	req := submitRequest{Priority: t.Priority}
+	req := service.SubmitRequest{Priority: t.Priority, Tenant: t.Name}
 	if d := time.Duration(t.Deadline); d > 0 {
 		req.Deadline = d.String()
 	}
 	step := t.windowStep()
 	for k := 0; k < t.cells(); k++ {
-		req.Cells = append(req.Cells, cellSpec{
-			Type:    "stream",
-			Streams: []streamSpec{{Kind: t.kind()}},
+		req.Cells = append(req.Cells, service.CellSpec{
+			Type:    service.TypeStream,
+			Streams: []service.StreamSpec{{Kind: t.kind()}},
 			Window:  t.windowBase() + (seq+uint64(k))*step,
 		})
 	}
-	body, _ := json.Marshal(req)
 
 	submitted := time.Now()
-	// Submission survives a coordinator failover: transport errors and
-	// election-window 503s retry against the picker's next choice until
-	// the retry budget runs out. The per-job Idempotency-Key makes the
-	// retries safe — if a dying coordinator did accept the first attempt
-	// and journal it, the new leader adopts the job and hands back the
-	// same ID instead of running it twice.
-	retryUntil := time.Now().Add(r.submitRetry())
-	var resp *http.Response
-	var respBody []byte
-	for {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+r.targets().Addr()+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			out.state, out.cause = "error", err.Error()
-			return out
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set("X-Tenant", t.Name)
-		hreq.Header.Set("Idempotency-Key", fmt.Sprintf("loadgen-%s-%d", t.Name, seq))
-		resp, err = r.client().Do(hreq)
-		r.targets().Observe(resp, err)
-		if err == nil {
-			respBody, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				break
-			}
-		}
-		if ctx.Err() != nil || time.Now().After(retryUntil) {
-			out.state = "error"
-			if err != nil {
-				out.cause = err.Error()
-			} else {
-				out.cause = fmt.Sprintf("%d: %s", resp.StatusCode, strings.TrimSpace(string(respBody)))
-			}
-			return out
-		}
-		select {
-		case <-ctx.Done():
-			out.state, out.cause = "error", ctx.Err().Error()
-			return out
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
+	// The per-job Idempotency-Key makes the client's retries safe — if a
+	// dying coordinator did accept the first attempt and journal it, the
+	// new leader adopts the job and hands back the same ID instead of
+	// running it twice.
+	id, err := r.client().Submit(ctx, req, fmt.Sprintf("loadgen-%s-%d", t.Name, seq))
+	var refused *api.RefusedError
 	switch {
-	case resp.StatusCode == http.StatusAccepted:
-	case resp.StatusCode == http.StatusTooManyRequests:
+	case errors.As(err, &refused) && refused.Status == http.StatusTooManyRequests:
 		out.state = "shed"
-		if out.cause = resp.Header.Get("X-Quota-Cause"); out.cause == "" {
+		if out.cause = refused.Cause; out.cause == "" {
 			out.cause = "backpressure"
 		}
 		return out
-	default:
-		out.state = "error"
-		out.cause = fmt.Sprintf("%d: %s", resp.StatusCode, strings.TrimSpace(string(respBody)))
-		return out
-	}
-	var st struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
-	if err := json.Unmarshal(respBody, &st); err != nil || st.ID == "" {
-		out.state, out.cause = "error", "unparseable submit response"
+	case err != nil:
+		out.state, out.cause = "error", err.Error()
 		return out
 	}
 
-	// Poll to terminal. The settle budget bounds how long a job may
-	// outlive the arrival window before it counts as lost.
-	deadline := time.Now().Add(time.Duration(sc.Duration) + sc.settle())
+	// Follow to the end event; the target pushes it, so nothing polls.
+	// The settle budget bounds how long a job may outlive the arrival
+	// window before it counts as lost. A broken stream (the daemon may be
+	// mid-restart or mid-failover) or a target that does not know the job
+	// yet is re-dialled from the start: only the end event matters.
+	fctx, cancel := context.WithDeadline(ctx, time.Now().Add(time.Duration(sc.Duration)+sc.settle()))
+	defer cancel()
 	for {
-		if time.Now().After(deadline) {
-			out.state = "lost"
+		end, err := r.client().Follow(fctx, id, -1, func(service.Event) {})
+		if err == nil {
+			out.state, out.cause = end.State, end.Error
+			out.latency = time.Since(submitted)
 			return out
 		}
 		select {
-		case <-ctx.Done():
+		case <-fctx.Done():
 			out.state = "lost"
 			return out
-		case <-time.After(r.pollEvery()):
-		}
-		sreq, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.targets().Addr()+"/v1/jobs/"+st.ID, nil)
-		if err != nil {
-			out.state, out.cause = "error", err.Error()
-			return out
-		}
-		sresp, err := r.client().Do(sreq)
-		r.targets().Observe(sresp, err)
-		if err != nil {
-			continue // the daemon may be mid-restart or mid-failover; keep polling to the budget
-		}
-		var jst struct {
-			State string `json:"state"`
-			Error string `json:"error"`
-		}
-		decErr := json.NewDecoder(sresp.Body).Decode(&jst)
-		sresp.Body.Close()
-		if decErr != nil || sresp.StatusCode != http.StatusOK {
-			continue
-		}
-		switch jst.State {
-		case "done", "failed", "cancelled":
-			out.state = jst.State
-			out.cause = jst.Error
-			out.latency = time.Since(submitted)
-			return out
+		case <-time.After(redialWait):
 		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"smtexplore/internal/service"
 )
 
 func TestArrivalsDeterministicAndIndependent(t *testing.T) {
@@ -79,28 +81,49 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
-// stubDaemon is an httptest job API: instant completions for most
-// tenants, 429 with a quota cause for shedTenant.
+// stubDaemon is an httptest job API: completions after runFor (instant
+// by default) for most tenants, 429 with a quota cause for shedTenant.
+// Each job's end is pushed over its event stream; status calls are
+// counted, since a client following the stream needs none.
 type stubDaemon struct {
-	mu         sync.Mutex
-	seq        int
-	states     map[string]string
-	shedTenant string
-	submits    map[string]int // per-tenant accepted submissions
+	mu          sync.Mutex
+	seq         int
+	ends        map[string]time.Time // when each accepted job ends
+	shedTenant  string
+	submits     map[string]int // per-tenant accepted submissions
+	statusCalls int
+	runFor      time.Duration
 }
 
 func newStubDaemon(shedTenant string) *stubDaemon {
 	return &stubDaemon{
-		states:     make(map[string]string),
+		ends:       make(map[string]time.Time),
 		shedTenant: shedTenant,
 		submits:    make(map[string]int),
 	}
 }
 
+// end reports when job id ends, and whether the stub knows it.
+func (d *stubDaemon) end(id string) (time.Time, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	at, ok := d.ends[id]
+	return at, ok
+}
+
 func (d *stubDaemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		tn := r.Header.Get("X-Tenant")
+		var req service.SubmitRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Cells) == 0 {
+			http.Error(w, "bad request", http.StatusBadRequest)
+			return
+		}
+		// The daemon's precedence: the header wins over the body field.
+		tn := req.Tenant
+		if h := r.Header.Get("X-Tenant"); h != "" {
+			tn = h
+		}
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		if tn == d.shedTenant {
@@ -109,27 +132,43 @@ func (d *stubDaemon) handler() http.Handler {
 			http.Error(w, "tenant over quota", http.StatusTooManyRequests)
 			return
 		}
-		var req submitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Cells) == 0 {
-			http.Error(w, "bad request", http.StatusBadRequest)
-			return
-		}
 		d.seq++
 		id := fmt.Sprintf("j%04d", d.seq)
-		d.states[id] = "done"
+		d.ends[id] = time.Now().Add(d.runFor)
 		d.submits[tn]++
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(map[string]string{"id": id, "state": "queued"})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		d.mu.Lock()
-		st, ok := d.states[r.PathValue("id")]
+		d.statusCalls++
 		d.mu.Unlock()
+		at, ok := d.end(r.PathValue("id"))
 		if !ok {
 			http.NotFound(w, r)
 			return
 		}
+		st := "running"
+		if !time.Now().Before(at) {
+			st = "done"
+		}
 		json.NewEncoder(w).Encode(map[string]string{"id": r.PathValue("id"), "state": st})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		at, ok := d.end(r.PathValue("id"))
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		select {
+		case <-time.After(time.Until(at)):
+		case <-r.Context().Done():
+			return
+		}
+		fmt.Fprintf(w, "event: end\ndata: {\"job\":%q,\"state\":\"done\"}\n\n", r.PathValue("id"))
 	})
 	return mux
 }
@@ -152,8 +191,7 @@ func TestRunnerAgainstStubDaemon(t *testing.T) {
 		Phases: []Phase{{At: dur(100 * time.Millisecond), Kind: PhaseKill, Pidfile: "fake.pid"}},
 	}
 	r := &Runner{
-		Target:    strings.TrimPrefix(srv.URL, "http://"),
-		PollEvery: 5 * time.Millisecond,
+		Target: strings.TrimPrefix(srv.URL, "http://"),
 		Kill: func(pidfile string) error {
 			killMu.Lock()
 			killed = append(killed, pidfile)
@@ -199,11 +237,54 @@ func TestRunnerAgainstStubDaemon(t *testing.T) {
 	if accepted != light.Submitted {
 		t.Fatalf("daemon accepted %d light jobs, report says %d", accepted, light.Submitted)
 	}
+	// Every job's end came over its event stream: nothing polled.
+	d.mu.Lock()
+	polls := d.statusCalls
+	d.mu.Unlock()
+	if polls != 0 {
+		t.Fatalf("runner made %d status calls, want 0 (it follows the event stream)", polls)
+	}
 
 	killMu.Lock()
 	defer killMu.Unlock()
 	if len(killed) != 1 || killed[0] != "fake.pid" {
 		t.Fatalf("kill phase ran %v, want [fake.pid]", killed)
+	}
+}
+
+// A job's latency is the time to its end event, not to the next tick
+// of a status poll: a job the daemon ends after runFor reports a
+// latency within 20 ms of it.
+func TestRunnerLatencyIsEndEventReceipt(t *testing.T) {
+	const runFor = 120 * time.Millisecond
+	d := newStubDaemon("")
+	d.runFor = runFor
+	srv := httptest.NewServer(d.handler())
+	defer srv.Close()
+
+	sc := Scenario{
+		Seed:     5,
+		Duration: dur(500 * time.Millisecond),
+		Settle:   dur(2 * time.Second),
+		Tenants:  []TenantLoad{{Name: "light", RateHz: 20}},
+	}
+	rep, err := (&Runner{Target: strings.TrimPrefix(srv.URL, "http://")}).Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	light := rep.Tenant("light")
+	if light == nil || light.Submitted == 0 || light.Done != light.Submitted {
+		t.Fatalf("light: %+v, want every submitted job done", light)
+	}
+	for _, lat := range rep.latencies["light"] {
+		if lat < runFor || lat >= runFor+20*time.Millisecond {
+			t.Errorf("job latency %v, want within [%v, %v)", lat, runFor, runFor+20*time.Millisecond)
+		}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.statusCalls != 0 {
+		t.Errorf("runner made %d status calls, want 0", d.statusCalls)
 	}
 }
 
@@ -238,7 +319,7 @@ func TestRunnerContextCancelCountsLost(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		cancel()
 	}()
-	r := &Runner{Target: strings.TrimPrefix(srv.URL, "http://"), PollEvery: 10 * time.Millisecond}
+	r := &Runner{Target: strings.TrimPrefix(srv.URL, "http://")}
 	done := make(chan *Report, 1)
 	go func() {
 		rep, err := r.Run(ctx, sc)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"smtexplore/internal/api"
 	"smtexplore/internal/experiments"
 	"smtexplore/internal/runner"
 	"smtexplore/internal/service"
@@ -124,17 +125,11 @@ func (l *Local) Run(ctx context.Context, cells []service.CellSpec, opt Options) 
 	return out, nil
 }
 
-// Remote executes cells as one job against a daemon's HTTP API via the
-// cluster's Worker client — a coordinator address works identically to
-// a single smtd.
+// Remote executes cells as one job through the job-API client — a
+// coordinator address, or an HA pair, works identically to a single
+// smtd.
 type Remote struct {
-	// Worker is the daemon client (cluster.NewRemote or a test fake).
-	Worker interface {
-		Submit(ctx context.Context, req service.SubmitRequest, idemKey string) (string, error)
-		Follow(ctx context.Context, id string, since int, onEvent func(service.Event)) (string, error)
-		Result(ctx context.Context, id string) (service.JobResult, error)
-		Stats(ctx context.Context) (service.Metrics, error)
-	}
+	Client *api.Client
 }
 
 func (r *Remote) Name() string { return "daemon" }
@@ -149,22 +144,22 @@ func (r *Remote) Run(ctx context.Context, cells []service.CellSpec, opt Options)
 	if opt.Deadline > 0 {
 		req.Deadline = opt.Deadline.String()
 	}
-	before, statsErr := r.Worker.Stats(ctx)
-	id, err := r.Worker.Submit(ctx, req, runner.Key("study-job", cells, opt.Priority, req.Deadline))
+	before, statsErr := r.Client.Stats(ctx)
+	id, err := r.Client.Submit(ctx, req, runner.Key("study-job", cells, opt.Priority, req.Deadline))
 	if err != nil {
 		return nil, fmt.Errorf("execute: submit: %w", err)
 	}
 	// The job's event stream ends when the job does; the results are
 	// fetched the moment it ends.
-	if _, err := r.Worker.Follow(ctx, id, -1, func(service.Event) {}); err != nil {
+	if _, err := r.Client.Follow(ctx, id, -1, func(service.Event) {}); err != nil {
 		return nil, fmt.Errorf("execute: follow %s: %w", id, err)
 	}
-	res, err := r.Worker.Result(ctx, id)
+	res, err := r.Client.Result(ctx, id)
 	if err != nil {
 		return nil, fmt.Errorf("execute: result %s: %w", id, err)
 	}
 	out := &Outcome{Results: res.Cells, Backend: r.Name(), Simulated: -1}
-	if after, err2 := r.Worker.Stats(ctx); err2 == nil && statsErr == nil {
+	if after, err2 := r.Client.Stats(ctx); err2 == nil && statsErr == nil {
 		out.Simulated = int(after.CellsSimulated - before.CellsSimulated)
 		out.Notes = append(out.Notes,
 			"simulated-cell count is the daemon-wide delta over the study and includes any concurrent load")

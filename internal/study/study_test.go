@@ -176,7 +176,7 @@ func TestRemoteBackendParity(t *testing.T) {
 	defer srv.Close()
 	addr := strings.TrimPrefix(srv.URL, "http://")
 
-	remote, err := Run(ctx, s, RunConfig{Backend: &execute.Remote{Worker: cluster.NewRemote("w", addr)}})
+	remote, err := Run(ctx, s, RunConfig{Backend: &execute.Remote{Client: cluster.NewRemote("w", addr).Client}})
 	if err != nil {
 		t.Fatalf("remote run: %v", err)
 	}

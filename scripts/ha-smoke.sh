@@ -225,7 +225,7 @@ cat >"$work/chaos.json" <<EOF
 }
 EOF
 "$bin/loadgen" -scenario "$work/chaos.json" -addr "$CB,$CA" \
-	-poll 20ms -out "$work/ha-report.json" -bench-out "$work/BENCH_ha.json" \
+	-out "$work/ha-report.json" -bench-out "$work/BENCH_ha.json" \
 	-assert no-failed:light \
 	-assert done-min:light:15
 grep -q '"HAFailover"' "$work/BENCH_ha.json" || {

@@ -115,7 +115,7 @@ echo "== phase A: light tenant solo (baseline)"
 start_daemon solo -jobs 2 -workers 2 -queue 32 \
 	-tenants "$work/tenants.json" -queue-wait-target 2s
 "$bin/loadgen" -scenario "$work/solo.json" -addr "$(addr_of solo)" \
-	-poll 20ms -out "$work/solo-report.json" \
+	-out "$work/solo-report.json" \
 	-assert done-min:light:12
 stop_daemon solo
 
@@ -123,7 +123,7 @@ echo "== phase B: light tenant vs a 10x-heavier neighbour"
 start_daemon mixed -jobs 2 -workers 2 -queue 32 \
 	-tenants "$work/tenants.json" -queue-wait-target 2s
 "$bin/loadgen" -scenario "$work/contended.json" -addr "$(addr_of mixed)" \
-	-poll 20ms -out "$work/contended-report.json" \
+	-out "$work/contended-report.json" \
 	-baseline "$work/solo-report.json" \
 	-assert goodput-frac:light:0.8 \
 	-assert p99-factor:light:2 \
@@ -173,7 +173,7 @@ cat >"$work/chaos.json" <<EOF
 }
 EOF
 "$bin/loadgen" -scenario "$work/chaos.json" -addr "$(addr_of coord)" \
-	-poll 20ms -out "$work/chaos-report.json" \
+	-out "$work/chaos-report.json" \
 	-assert no-failed:light \
 	-assert done-min:light:15
 stop_daemon coord
