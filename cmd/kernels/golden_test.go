@@ -55,3 +55,28 @@ func TestGoldenTable1(t *testing.T) {
 	}
 	checkGolden(t, "table1", buf.Bytes())
 }
+
+func TestGoldenLUSmall(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-bench", "lu", "-sizes", "16,32"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "lu-small", buf.Bytes())
+}
+
+// TestGoldenFig5 pins both Figure 5 panel groups at their default
+// instances.
+func TestGoldenFig5(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the CG and BT instances run multi-million-cycle kernels; skipped in -short")
+	}
+	for _, bench := range []string{"cg", "bt"} {
+		t.Run(bench, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run([]string{"-bench", bench}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, bench, buf.Bytes())
+		})
+	}
+}

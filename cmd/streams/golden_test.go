@@ -44,3 +44,19 @@ func TestGoldenFig1(t *testing.T) {
 	}
 	checkGolden(t, "fig1", buf.Bytes())
 }
+
+// The three Figure 2 panels, each pinned as its own golden.
+func TestGoldenFig2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the three co-execution grids; skipped in -short")
+	}
+	for _, fig := range []string{"2a", "2b", "2c"} {
+		t.Run(fig, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run([]string{"-fig", fig}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "fig"+fig, buf.Bytes())
+		})
+	}
+}
