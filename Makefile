@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet test flake-guard race fuzz-smoke bench-smoke bench-gate bench-record service-smoke chaos-smoke cluster-smoke ha-smoke study-smoke load-smoke obs-artifacts
+.PHONY: ci build fmt vet test perfbench flake-guard race fuzz-smoke bench-smoke bench-gate bench-record service-smoke chaos-smoke cluster-smoke ha-smoke study-smoke load-smoke obs-artifacts
 
-ci: build fmt vet test flake-guard race fuzz-smoke bench-smoke bench-gate service-smoke chaos-smoke cluster-smoke ha-smoke study-smoke load-smoke obs-artifacts
+ci: build fmt vet test perfbench flake-guard race fuzz-smoke bench-smoke bench-gate service-smoke chaos-smoke cluster-smoke ha-smoke study-smoke load-smoke obs-artifacts
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,11 @@ vet:
 
 test:
 	$(GO) test -shuffle=on -timeout 30m ./...
+
+# perfbench/ is a separate module that imports internal/*; ./... does not
+# reach it.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Ordering races that fail one run in five (a terminal journal write
 # racing the job's Done channel, a breaker cooldown shorter than one
@@ -64,9 +69,9 @@ service-smoke:
 
 # Failure-hardening smoke: deterministic fault plans drive cell panics,
 # wedged cells, disk errors, a SIGKILL mid-job and queue backpressure
-# through smtd; every job must end terminal and the recovered Figure 1
-# text must be byte-identical to the fault-free run (CI runs the same
-# script).
+# through smtd; every job must end terminal and the recovered
+# sync-ablation text must be byte-identical to the fault-free run (CI
+# runs the same script).
 chaos-smoke:
 	./scripts/chaos-smoke.sh
 

@@ -1,8 +1,10 @@
 package smtexplore_test
 
-// One benchmark per table and figure of the paper's evaluation. Each
-// b.N iteration regenerates the complete figure/table (these are
-// macro-benchmarks; run with the default -benchtime or -benchtime=1x).
+// One benchmark per table and figure of the paper's evaluation; the
+// figures run their committed studies/fig*.study.json specs through the
+// study engine, as the CLIs do. Each b.N iteration regenerates the
+// complete figure/table (these are macro-benchmarks; run with the
+// default -benchtime or -benchtime=1x).
 // Key series values are attached as custom metrics so regressions in the
 // reproduced *shapes* — not just runtimes — are visible in benchmark
 // diffs.
@@ -15,22 +17,44 @@ import (
 	"smtexplore/internal/experiments"
 	"smtexplore/internal/kernels"
 	"smtexplore/internal/profile"
+	"smtexplore/internal/report"
+	"smtexplore/internal/runner"
 	"smtexplore/internal/streams"
+	"smtexplore/internal/study/execute"
+	"smtexplore/internal/study/synth"
+	"smtexplore/studies"
 )
 
 // bgCtx is the shared context of the figure benchmarks.
 var bgCtx = context.Background()
+
+// figureData regenerates the named committed figure sweeps
+// (studies/fig*.study.json) through the study engine in process on all
+// cores, with a fresh result cache (nil: none), and returns the
+// paper-claim data the sweeps reconstruct.
+func figureData(b *testing.B, workers int, cache *runner.Cache, sweeps ...string) *report.Data {
+	b.Helper()
+	s, err := studies.Figures(sweeps...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := studies.Run(bgCtx, s, &execute.Local{Cache: cache}, workers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := synth.CollectData(res.Plan, res.Results)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
 
 // BenchmarkFig1StreamCPI regenerates Figure 1: average CPI of the paper's
 // representative streams under the six TLP×ILP execution modes.
 func BenchmarkFig1StreamCPI(b *testing.B) {
 	var rows []experiments.Fig1Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig1(bgCtx, experiments.DefaultOptions(), experiments.StreamMachineConfig(), experiments.Fig1Kinds())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows = figureData(b, 0, runner.NewCache(), "fig1").Fig1
 	}
 	for _, r := range rows {
 		if r.Stream == streams.FAddS && r.ILP == streams.MaxILP && r.Threads == 1 {
@@ -41,7 +65,7 @@ func BenchmarkFig1StreamCPI(b *testing.B) {
 		}
 	}
 	// Cold-simulation throughput: every row of the figure is one
-	// simulation cell (no result cache inside Fig1's own sweep).
+	// simulation cell (each iteration starts from a fresh cache).
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(len(rows)*b.N)/sec, "cells/s")
 	}
@@ -52,11 +76,7 @@ func BenchmarkFig1StreamCPI(b *testing.B) {
 func BenchmarkFig2FPPairs(b *testing.B) {
 	var cells []experiments.Fig2Cell
 	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = experiments.Fig2a(bgCtx, experiments.DefaultOptions(), experiments.StreamMachineConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		cells = figureData(b, 0, runner.NewCache(), "fig2a").Fig2a
 	}
 	for _, c := range cells {
 		if c.Subject == streams.FDivS && c.Partner == streams.FDivS && c.ILP == streams.MaxILP {
@@ -72,11 +92,7 @@ func BenchmarkFig2FPPairs(b *testing.B) {
 func BenchmarkFig2IntPairs(b *testing.B) {
 	var cells []experiments.Fig2Cell
 	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = experiments.Fig2b(bgCtx, experiments.DefaultOptions(), experiments.StreamMachineConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		cells = figureData(b, 0, runner.NewCache(), "fig2b").Fig2b
 	}
 	for _, c := range cells {
 		if c.Subject == streams.IAddS && c.Partner == streams.IAddS && c.ILP == streams.MaxILP {
@@ -89,9 +105,7 @@ func BenchmarkFig2IntPairs(b *testing.B) {
 // floating-point arithmetic pairs.
 func BenchmarkFig2MixedPairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig2c(bgCtx, experiments.DefaultOptions(), experiments.StreamMachineConfig()); err != nil {
-			b.Fatal(err)
-		}
+		figureData(b, 0, runner.NewCache(), "fig2c")
 	}
 }
 
@@ -121,11 +135,7 @@ func reportKernelShape(b *testing.B, ms []experiments.KernelMetrics, label strin
 func BenchmarkFig3MM(b *testing.B) {
 	var ms []experiments.KernelMetrics
 	for i := 0; i < b.N; i++ {
-		var err error
-		ms, err = experiments.Fig3MM(bgCtx, experiments.DefaultOptions(), experiments.MMSizes())
-		if err != nil {
-			b.Fatal(err)
-		}
+		ms = figureData(b, 0, runner.NewCache(), "fig3").MM
 	}
 	reportKernelShape(b, ms, "N=128")
 }
@@ -134,11 +144,7 @@ func BenchmarkFig3MM(b *testing.B) {
 func BenchmarkFig4LU(b *testing.B) {
 	var ms []experiments.KernelMetrics
 	for i := 0; i < b.N; i++ {
-		var err error
-		ms, err = experiments.Fig4LU(bgCtx, experiments.DefaultOptions(), experiments.LUSizes())
-		if err != nil {
-			b.Fatal(err)
-		}
+		ms = figureData(b, 0, runner.NewCache(), "fig4").LU
 	}
 	reportKernelShape(b, ms, "N=128")
 }
@@ -147,11 +153,7 @@ func BenchmarkFig4LU(b *testing.B) {
 func BenchmarkFig5CG(b *testing.B) {
 	var ms []experiments.KernelMetrics
 	for i := 0; i < b.N; i++ {
-		var err error
-		ms, err = experiments.Fig5CG(bgCtx, experiments.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		ms = figureData(b, 0, runner.NewCache(), "fig5cg").CG
 	}
 	if len(ms) > 0 {
 		reportKernelShape(b, ms, ms[0].Label)
@@ -163,11 +165,7 @@ func BenchmarkFig5CG(b *testing.B) {
 func BenchmarkFig5BT(b *testing.B) {
 	var ms []experiments.KernelMetrics
 	for i := 0; i < b.N; i++ {
-		var err error
-		ms, err = experiments.Fig5BT(bgCtx, experiments.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		ms = figureData(b, 0, runner.NewCache(), "fig5bt").BT
 	}
 	if len(ms) > 0 {
 		reportKernelShape(b, ms, ms[0].Label)
@@ -233,17 +231,15 @@ func BenchmarkAblationPartition(b *testing.B) {
 // path. On an N-core machine the fan-out contributes up to ×N; the
 // result cache contributes its hit savings even on one core.
 func BenchmarkFigRegenSpeedup(b *testing.B) {
-	run := func(opt experiments.Options) time.Duration {
+	run := func(workers int, cache *runner.Cache) time.Duration {
 		start := time.Now()
-		if _, err := experiments.Fig2a(bgCtx, opt, experiments.StreamMachineConfig()); err != nil {
-			b.Fatal(err)
-		}
+		figureData(b, workers, cache, "fig2a")
 		return time.Since(start)
 	}
 	var serial, parallel time.Duration
 	for i := 0; i < b.N; i++ {
-		serial += run(experiments.Options{Workers: 1, Cache: nil})
-		parallel += run(experiments.DefaultOptions())
+		serial += run(1, nil)
+		parallel += run(0, runner.NewCache())
 	}
 	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup")
 }

@@ -16,6 +16,8 @@
 //	kernels -bench mm -observe obs/        # per-cell trace/occupancy/metrics
 //	kernels -observe obs/ -observe-match tlp-fine
 //
+// The figures are the committed studies/fig3–fig5 specs, run in process
+// through the study engine (-sizes overrides the mm and lu sizes).
 // Simulation cells fan out over -workers (default: all cores); one
 // result cache spans the invocation. Output is byte-identical to
 // -workers 1. With -observe, matching cells additionally write pipeline
@@ -38,6 +40,8 @@ import (
 	"smtexplore/internal/experiments"
 	"smtexplore/internal/runner"
 	"smtexplore/internal/store"
+	"smtexplore/internal/study/execute"
+	"smtexplore/studies"
 )
 
 // errUsage marks a command-line error already reported to stderr; the
@@ -110,11 +114,9 @@ func run(args []string, out io.Writer) error {
 		fs.Usage()
 		return errUsage
 	}
-	mmSizes, luSizes := experiments.MMSizes(), experiments.LUSizes()
-	if ns, err := parseSizes(*sizes); err != nil {
+	ns, err := parseSizes(*sizes)
+	if err != nil {
 		return err
-	} else if ns != nil {
-		mmSizes, luSizes = ns, ns
 	}
 	cache := runner.NewCache()
 	if *storeDir != "" {
@@ -131,56 +133,36 @@ func run(args []string, out io.Writer) error {
 	}
 
 	ctx := context.Background()
-	opt := experiments.Options{Workers: *workers, Cache: cache, Observe: observe()}
-	runFig := func(name string) error {
-		switch name {
-		case "mm":
-			ms, err := experiments.Fig3MM(ctx, opt, mmSizes)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatKernelFigure("Figure 3 — Matrix Multiplication", ms))
-		case "lu":
-			ms, err := experiments.Fig4LU(ctx, opt, luSizes)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatKernelFigure("Figure 4 — LU decomposition", ms))
-		case "cg":
-			ms, err := experiments.Fig5CG(ctx, opt)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatKernelFigure("Figure 5 — NAS CG", ms))
-		case "bt":
-			ms, err := experiments.Fig5BT(ctx, opt)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatKernelFigure("Figure 5 — NAS BT", ms))
-		default:
-			return fmt.Errorf("unknown benchmark %q", name)
-		}
-		fmt.Fprintln(out)
-		return nil
-	}
-
+	ob := observe()
+	figures := map[string]string{"mm": "fig3", "lu": "fig4", "cg": "fig5cg", "bt": "fig5bt"}
+	var sweeps []string
 	switch *bench {
 	case "all":
-		for _, b := range []string{"mm", "lu", "cg", "bt"} {
-			if err := runFig(b); err != nil {
-				return err
-			}
-		}
+		sweeps = []string{"fig3", "fig4", "fig5cg", "fig5bt"}
 	case "":
 	default:
-		if err := runFig(*bench); err != nil {
+		if figures[*bench] == "" {
+			return fmt.Errorf("unknown benchmark %q", *bench)
+		}
+		sweeps = []string{figures[*bench]}
+	}
+	if len(sweeps) > 0 {
+		s, err := studies.Figures(sweeps...)
+		if err != nil {
 			return err
+		}
+		studies.SetSizes(s, ns)
+		res, err := studies.Run(ctx, s, &execute.Local{Cache: cache, Observe: ob}, *workers)
+		if err != nil {
+			return err
+		}
+		for _, t := range res.Tables {
+			fmt.Fprint(out, t.Text)
 		}
 	}
 
 	if *table == 1 {
-		cols, err := experiments.Table1(ctx, opt)
+		cols, err := experiments.Table1(ctx, experiments.Options{Workers: *workers, Cache: cache, Observe: ob})
 		if err != nil {
 			return err
 		}

@@ -10,9 +10,11 @@
 //	report -verbose   # additionally print every figure and table
 //	report -workers 4 # bound the concurrent simulation cells
 //
-// Simulation cells fan out over -workers (default: all cores); one
-// result cache spans the whole collection. Output is byte-identical to
-// -workers 1.
+// The figure grids run the committed studies/fig*.study.json sweeps
+// through the study engine (Figure 2(c) is not scored); Table 1 and the
+// ablations run through internal/report. Simulation cells fan out over
+// -workers (default: all cores); one result cache spans the whole
+// collection. Output is byte-identical to -workers 1.
 package main
 
 import (
@@ -31,6 +33,9 @@ import (
 	"smtexplore/internal/report"
 	"smtexplore/internal/runner"
 	"smtexplore/internal/store"
+	"smtexplore/internal/study/execute"
+	"smtexplore/internal/study/synth"
+	"smtexplore/studies"
 )
 
 // errUsage marks a command-line error already reported to stderr; the
@@ -94,27 +99,35 @@ func run(args []string, out io.Writer) error {
 		cache.WithTier(st)
 	}
 
-	opt := report.Options{Workers: *workers, Cache: cache}
+	ctx := context.Background()
+	sweeps := []string{"fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5cg", "fig5bt"}
+	var mmluSizes []int
 	if *quick {
-		opt = report.Options{
-			MMSizes:       []int{32, 64},
-			LUSizes:       []int{32, 64},
-			SkipStreams:   true,
-			SkipAblations: true,
-			Workers:       *workers,
-			Cache:         cache,
-		}
+		sweeps, mmluSizes = sweeps[3:], []int{32, 64}
 	}
 	if ns, err := parseSizes(*sizes); err != nil {
 		return err
 	} else if ns != nil {
-		opt.MMSizes, opt.LUSizes = ns, ns
+		mmluSizes = ns
 	}
-
-	d, err := report.Collect(context.Background(), opt)
+	s, err := studies.Figures(sweeps...)
 	if err != nil {
 		return err
 	}
+	studies.SetSizes(s, mmluSizes)
+	res, err := studies.Run(ctx, s, &execute.Local{Cache: cache}, *workers)
+	if err != nil {
+		return err
+	}
+	d, err := synth.CollectData(res.Plan, res.Results)
+	if err != nil {
+		return err
+	}
+	rest, err := report.Collect(ctx, report.Options{SkipAblations: *quick, Workers: *workers, Cache: cache})
+	if err != nil {
+		return err
+	}
+	d.Table1, d.Sync, d.Span, d.Selective = rest.Table1, rest.Sync, rest.Span, rest.Selective
 
 	if *verbose {
 		if d.Fig1 != nil {

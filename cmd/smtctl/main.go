@@ -8,7 +8,7 @@
 //	smtctl [-addr host:port] <command> [args]
 //	smtctl -server a,b <command> [args]      # HA pair: rotate on refusal, follow leader redirects
 //
-//	smtctl submit -fig 1                     # one harness cell; prints the job ID
+//	smtctl submit -fig table1                # one harness cell; prints the job ID
 //	smtctl submit -stream fadd,iload -ilp max -window 120000
 //	smtctl submit -kernel mm -mode tlp-fine -size 64
 //	smtctl submit -kernel lu -size 64 -deadline 90s -priority 5
@@ -169,7 +169,7 @@ func (c client) printJSON(v any) error {
 // -f) and prints the assigned job ID.
 func (c client) submit(args []string) error {
 	fs := flag.NewFlagSet("smtctl submit", flag.ContinueOnError)
-	fig := fs.String("fig", "", "harness cell: a named figure/table/study (fig1, fig2a, fig3, table1, sync, ...)")
+	fig := fs.String("fig", "", "harness cell: a whole table or study (table1, sync, span, partition, selective); figures 1-5 run as studies: study run -f studies/figN.study.json")
 	stream := fs.String("stream", "", "stream cell: comma-separated stream kinds to co-run (e.g. fadd,iload)")
 	ilp := fs.String("ilp", "max", "stream cell ILP degree: min, med or max")
 	window := fs.Uint64("window", 0, "stream cell measurement window in cycles (0: harness default)")
@@ -204,12 +204,7 @@ func (c client) submit(args []string) error {
 			return fmt.Errorf("parsing %s: %w", *file, err)
 		}
 	case *fig != "":
-		name := *fig
-		// Accept the CLI figure spellings too: "1" → fig1, "2a" → fig2a.
-		if name != "" && name[0] >= '0' && name[0] <= '9' {
-			name = "fig" + name
-		}
-		req.Cells = []service.CellSpec{{Type: service.TypeHarness, Harness: name}}
+		req.Cells = []service.CellSpec{{Type: service.TypeHarness, Harness: *fig}}
 	case *stream != "":
 		var cell service.CellSpec
 		cell.Type = service.TypeStream

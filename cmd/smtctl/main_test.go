@@ -101,7 +101,7 @@ func TestWaitSurfacesCellFailure(t *testing.T) {
 func TestWaitSurfacesCancellation(t *testing.T) {
 	addr := startDaemon(t, service.Config{Workers: 1, MaxActive: 1})
 
-	out, err := ctl(t, addr, "submit", "-fig", "1")
+	out, err := ctl(t, addr, "submit", "-fig", "sync")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,14 @@ func TestWaitSurfacesCancellation(t *testing.T) {
 }
 
 func TestSubmitFigSpellings(t *testing.T) {
-	// "-fig 1" and "-fig fig1" must land on the same harness; a bogus name
-	// is rejected by the daemon at submit time.
+	// Harness names are accepted; a bogus name, or a figure (which runs
+	// as a study, not a harness: "1", "fig1"), is rejected by the daemon
+	// at submit time.
 	addr := startDaemon(t, service.Config{})
-	if _, err := ctl(t, addr, "submit", "-fig", "nope"); err == nil {
-		t.Error("submitting an unknown harness succeeded")
+	for _, name := range []string{"nope", "1", "fig1"} {
+		if _, err := ctl(t, addr, "submit", "-fig", name); err == nil {
+			t.Errorf("submitting the unknown harness %q succeeded", name)
+		}
 	}
 	for _, name := range []string{"table1", "selective"} {
 		out, err := ctl(t, addr, "submit", "-fig", name)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"smtexplore/internal/api"
 	"smtexplore/internal/cluster"
 )
 
@@ -149,33 +149,24 @@ func heartbeat(ctx context.Context, coordinator, name, addr string) {
 	if err != nil {
 		panic(err) // a map[string]string always marshals
 	}
-	client := &http.Client{Timeout: 2 * time.Second}
+	// No retries: the next beat is the retry.
+	client := api.NewClient(api.NewEndpoints(coordinator, ""), 0, 2*time.Second, false)
 	t := time.NewTicker(300 * time.Millisecond)
 	defer t.Stop()
 	registered := false
 	for {
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodPost,
-			"http://"+coordinator+"/v1/cluster/register", bytes.NewReader(body))
-		if rerr == nil {
-			req.Header.Set("Content-Type", "application/json")
-			resp, derr := client.Do(req)
-			ok := derr == nil && resp.StatusCode == http.StatusOK
-			if derr == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			// Log only the transitions, not the steady state.
-			if ok && !registered {
-				log.Printf("registered with coordinator %s as %s", coordinator, name)
-			}
-			if !ok && registered {
-				log.Printf("coordinator %s unreachable; will keep retrying", coordinator)
-			}
-			registered = ok
+		ok := client.PostJSON(ctx, "/v1/cluster/register", body) == nil
+		if ctx.Err() != nil {
+			return
 		}
+		// Log only the transitions, not the steady state.
+		if ok && !registered {
+			log.Printf("registered with coordinator %s as %s", coordinator, name)
+		}
+		if !ok && registered {
+			log.Printf("coordinator %s unreachable; will keep retrying", coordinator)
+		}
+		registered = ok
 		select {
 		case <-ctx.Done():
 			return

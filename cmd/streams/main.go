@@ -12,12 +12,13 @@
 //	streams -workers 4      # bound the concurrent simulation cells
 //	streams -fig 1 -observe obs/ -observe-match fadd
 //
-// Simulation cells fan out over -workers (default: all cores); one
-// result cache spans the invocation, so baselines shared between
-// figures simulate once. Output is byte-identical to -workers 1. With
-// -observe, matching cells additionally write pipeline traces, occupancy
-// series and metrics snapshots into the directory (those cells bypass
-// the cache — a cache hit has nothing to trace).
+// The figures are the sweeps of the committed studies/fig1.study.json
+// and fig2.study.json, run in process through the study engine.
+// Simulation cells fan out over -workers (default: all cores), and cells
+// shared between figures simulate once. Output is byte-identical to
+// -workers 1. With -observe, matching cells additionally write pipeline
+// traces, occupancy series and metrics snapshots into the directory
+// (those cells bypass the cache — a cache hit has nothing to trace).
 package main
 
 import (
@@ -34,6 +35,8 @@ import (
 	"smtexplore/internal/runner"
 	"smtexplore/internal/store"
 	"smtexplore/internal/streams"
+	"smtexplore/internal/study/execute"
+	"smtexplore/studies"
 )
 
 // errUsage marks a command-line error already reported to stderr; the
@@ -98,53 +101,31 @@ func run(args []string, out io.Writer) error {
 		cache.WithTier(st)
 	}
 
-	ctx := context.Background()
-	opt := experiments.Options{Workers: *workers, Cache: cache, Observe: observe()}
-	mcfg := experiments.StreamMachineConfig()
-	runFig := func(name string) error {
-		switch name {
-		case "1":
-			kinds := experiments.Fig1Kinds()
-			if *full {
-				kinds = streams.All()
-			}
-			rows, err := experiments.Fig1(ctx, opt, mcfg, kinds)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatFig1(rows))
-		case "2a":
-			cells, err := experiments.Fig2a(ctx, opt, mcfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatFig2("Figure 2(a) — floating-point streams", cells))
-		case "2b":
-			cells, err := experiments.Fig2b(ctx, opt, mcfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatFig2("Figure 2(b) — integer streams", cells))
-		case "2c":
-			cells, err := experiments.Fig2c(ctx, opt, mcfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, experiments.FormatFig2("Figure 2(c) — mixed fp×int arithmetic", cells))
-		default:
-			return fmt.Errorf("unknown figure %q", name)
-		}
-		fmt.Fprintln(out)
-		return nil
+	var sweeps []string
+	switch *fig {
+	case "1", "2a", "2b", "2c":
+		sweeps = []string{"fig" + *fig}
+	case "all":
+		sweeps = []string{"fig1", "fig2a", "fig2b", "fig2c"}
+	default:
+		return fmt.Errorf("unknown figure %q", *fig)
 	}
-
-	if *fig == "all" {
-		for _, f := range []string{"1", "2a", "2b", "2c"} {
-			if err := runFig(f); err != nil {
-				return err
-			}
-		}
-		return nil
+	s, err := studies.Figures(sweeps...)
+	if err != nil {
+		return err
 	}
-	return runFig(*fig)
+	if *full && s.Sweeps[0].Name == "fig1" {
+		s.Sweeps[0].Streams = nil
+		for _, k := range streams.All() {
+			s.Sweeps[0].Streams = append(s.Sweeps[0].Streams, k.String())
+		}
+	}
+	res, err := studies.Run(context.Background(), s, &execute.Local{Cache: cache, Observe: observe()}, *workers)
+	if err != nil {
+		return err
+	}
+	for _, t := range res.Tables {
+		fmt.Fprint(out, t.Text)
+	}
+	return nil
 }

@@ -5,8 +5,8 @@ package cluster
 // over real HTTP by the Remote worker client):
 //
 //   - parity: a figure generated through the coordinator is
-//     byte-identical to the single-node daemon and the direct harness
-//     (which the cmd CLIs' own golden tests pin to their output);
+//     byte-identical to the single-node daemon and to the CLI's golden
+//     output;
 //   - shared store: a key warmed by one worker is served by another
 //     without re-simulation;
 //   - chaos: a worker killed mid-kernel loses nothing — the cell
@@ -14,8 +14,9 @@ package cluster
 //     cycles and reproducing the uninterrupted result exactly.
 
 import (
-	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,6 +28,9 @@ import (
 	"smtexplore/internal/service"
 	"smtexplore/internal/store"
 	"smtexplore/internal/streams"
+	"smtexplore/internal/study/compile"
+	"smtexplore/internal/study/synth"
+	"smtexplore/studies"
 )
 
 // realWorker is one full worker daemon: service + HTTP server.
@@ -77,34 +81,52 @@ func startStoreWorker(t *testing.T, name, dir string, checkpointEvery uint64) *r
 }
 
 // The conformance golden test: one figure through the cluster equals
-// the single-node daemon equals the direct harness, byte for byte. The
-// CLI side is pinned by cmd/streams' own golden test against the same
-// FormatFig1 bytes, closing the loop coordinator = daemon = CLI.
+// the single-node daemon equals the CLI, byte for byte. The committed
+// Figure 1 study compiles to its 30 stream cells; each backend runs
+// them as one job, and the synthesized table must match the golden
+// file `streams -fig 1` is pinned to, closing the loop coordinator =
+// daemon = CLI.
 func TestClusterFig1Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 1 grid in -short mode")
 	}
-	// The direct harness result, exactly as the fig1 harness cell and
-	// `streams -fig 1` produce it.
-	rows, err := experiments.Fig1(context.Background(), experiments.Options{},
-		experiments.StreamMachineConfig(), experiments.Fig1Kinds())
+	golden, err := os.ReadFile(filepath.Join("..", "..", "cmd", "streams", "testdata", "fig1.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := experiments.FormatFig1(rows) + "\n"
+	s, err := studies.Spec("fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := compile.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]service.CellSpec, len(plan.Cells))
+	for i, c := range plan.Cells {
+		cells[i] = c.Spec
+	}
+	table := func(who string, j *service.Job) string {
+		t.Helper()
+		waitJobDone(t, j)
+		if state, msg := j.State(); state != service.JobDone {
+			t.Fatalf("%s job = %s %q", who, state, msg)
+		}
+		tables, err := synth.Tables(plan, j.Results())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tables[0].Text
+	}
 
 	// Single-node daemon.
 	single := startWorker(t, "single", service.Config{Workers: 2, MaxActive: 1})
-	sj, err := single.svc.Submit([]service.CellSpec{{Type: service.TypeHarness, Harness: "fig1"}})
+	sj, err := single.svc.Submit(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitJobDone(t, sj)
-	if state, msg := sj.State(); state != service.JobDone {
-		t.Fatalf("single-node job = %s %q", state, msg)
-	}
-	if got := sj.Results()[0].Text; got != direct {
-		t.Fatalf("single-node fig1 diverges from direct harness:\n got %q\nwant %q", got, direct)
+	if got := table("single-node", sj); got != string(golden) {
+		t.Fatalf("single-node fig1 diverges from the CLI golden:\n got %q\nwant %q", got, golden)
 	}
 
 	// Two-worker cluster.
@@ -114,16 +136,12 @@ func TestClusterFig1Parity(t *testing.T) {
 	defer c.Close()
 	c.AddWorker(a.remote())
 	c.AddWorker(b.remote())
-	cj, err := c.SubmitWith([]service.CellSpec{{Type: service.TypeHarness, Harness: "fig1"}}, service.SubmitOptions{})
+	cj, err := c.SubmitWith(cells, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitJobDone(t, cj)
-	if state, msg := cj.State(); state != service.JobDone {
-		t.Fatalf("cluster job = %s %q", state, msg)
-	}
-	if got := cj.Results()[0].Text; got != direct {
-		t.Fatalf("cluster fig1 diverges from direct harness:\n got %q\nwant %q", got, direct)
+	if got := table("cluster", cj); got != string(golden) {
+		t.Fatalf("cluster fig1 diverges from the CLI golden:\n got %q\nwant %q", got, golden)
 	}
 }
 

@@ -15,17 +15,17 @@ import (
 
 // StreamCell measures one stream cell — one or two co-executed streams
 // over a cycle window — through the options' cache and observe sink.
-// This is the exact primitive the Figure 1/2 harnesses use, under the
-// same content key, so an external caller (the smtd service) shares
-// results with the figure sweeps in both directions.
+// It is the one stream-cell primitive: the study engine (and so every
+// Figure 1/2 regeneration) and the smtd service both run cells through
+// it under the same content key, so they share results in both
+// directions.
 func (o Options) StreamCell(mcfg smt.Config, specs []streams.Spec, window uint64) ([]float64, error) {
 	return o.measureCPI(mcfg, specs, window)
 }
 
 // StreamCellKey is the content key a stream-measurement cell is cached
-// and stored under — exactly the key the Figure 1/2 harnesses use, so an
-// external planner (the study engine) can probe a store for warm results
-// without simulating.
+// and stored under, so a planner (the study engine) can probe a store
+// for warm results without simulating.
 func StreamCellKey(mcfg smt.Config, specs []streams.Spec, window uint64) string {
 	return runner.Key("measure-cpi", mcfg, specs, window)
 }
@@ -65,8 +65,8 @@ func namedKernelPlan(kernel string, size int) (cfg any, label string, build func
 }
 
 // KernelCellKey is the content key of the canonical (kernel, size, mode)
-// cell — the same key NamedKernelCell and the Figure 3/4/5 sweeps cache
-// under, exported for store probing alongside StreamCellKey.
+// cell — the key NamedKernelCell caches under, exported for store
+// probing alongside StreamCellKey.
 func KernelCellKey(kernel string, size int, mode kernels.Mode) (string, error) {
 	cfg, label, _, err := namedKernelPlan(kernel, size)
 	if err != nil {
@@ -77,7 +77,7 @@ func KernelCellKey(kernel string, size int, mode kernels.Mode) (string, error) {
 
 // KernelModes lists the execution modes the canonical (kernel, size)
 // instance implements, in its presentation order — the order the
-// Figure 3/4/5 sweeps enumerate, so a planner that defaults to "all
+// Figure 3/4/5 tables list them in, so a planner that defaults to "all
 // modes" reproduces the figures' row order exactly.
 func KernelModes(kernel string, size int) ([]kernels.Mode, error) {
 	_, _, build, err := namedKernelPlan(kernel, size)
@@ -92,9 +92,9 @@ func KernelModes(kernel string, size int) ([]kernels.Mode, error) {
 }
 
 // NamedKernelCell runs the canonical (kernel, size, mode) cell on the
-// scaled kernel machine through the options' cache, under the same
-// content key the Figure 3/4/5 harnesses use — a service request for
-// "mm N=64 tlp-pfetch" reuses a Figure 3 result and vice versa. size
+// scaled kernel machine through the options' cache. Figures 3–5 run
+// their cells through it, so a service request for "mm N=64
+// tlp-pfetch" reuses a Figure 3 result and vice versa. size
 // selects the matrix dimension for mm/lu (required > 0) and overrides
 // the instance defaults for cg (N) and bt (G) when non-zero.
 func NamedKernelCell(o Options, kernel string, size int, mode kernels.Mode) (KernelMetrics, error) {

@@ -1,7 +1,9 @@
-// Package experiments contains the reproduction harness: one entry point
-// per figure and table of the paper's evaluation, each running the
-// relevant workloads on a configured simulated machine and returning the
-// same rows/series the paper reports.
+// Package experiments contains the reproduction's cell primitives and
+// formatters: one stream cell (StreamCell) and one kernel cell
+// (NamedKernelCell) on a configured simulated machine, plus the Table 1,
+// ablation, selective-halt and sensitivity studies. The Figure 1–5
+// grids are defined by the committed studies/fig*.study.json specs and
+// run cell by cell through the study engine.
 //
 // Two machine configurations are used. Stream experiments (Figures 1-2)
 // run on the full-size NetBurst-like machine, since they are

@@ -32,116 +32,6 @@ func TestMeasureCPIValidation(t *testing.T) {
 	}
 }
 
-func TestFig1ShapesMatchPaper(t *testing.T) {
-	rows, err := Fig1(context.Background(), DefaultOptions(), StreamMachineConfig(), []streams.Kind{streams.FAddS, streams.IAddS, streams.ILoadS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(k streams.Kind, ilp streams.ILP, threads int) float64 {
-		for _, r := range rows {
-			if r.Stream == k && r.ILP == ilp && r.Threads == threads {
-				return r.CPI
-			}
-		}
-		t.Fatalf("missing row %v/%v/%d", k, ilp, threads)
-		return 0
-	}
-	// fadd: best throughput in 1thr-maxILP; min-ILP CPI barely moves from
-	// 1 to 2 threads (the Figure 1 discussion).
-	if best := get(streams.FAddS, streams.MaxILP, 1); best > 1.4 {
-		t.Errorf("fadd 1thr-maxILP CPI %.2f, want ≈1", best)
-	}
-	minSolo := get(streams.FAddS, streams.MinILP, 1)
-	minDuo := get(streams.FAddS, streams.MinILP, 2)
-	if minDuo > minSolo*1.15 {
-		t.Errorf("fadd min-ILP CPI grew %.2f→%.2f on co-execution; paper has it flat", minSolo, minDuo)
-	}
-	// 2thr-medILP must not beat 1thr-maxILP throughput (W_fadd6 insight):
-	// aggregate throughput 2/cpi(duo) ≤ 1/cpi(solo-max) with slack.
-	duoMed := get(streams.FAddS, streams.MedILP, 2)
-	soloMax := get(streams.FAddS, streams.MaxILP, 1)
-	if 2/duoMed > 1.1*(1/soloMax) {
-		t.Errorf("splitting the fadd window across threads (%.2f agg) beat 1thr-maxILP (%.2f)", 2/duoMed, 1/soloMax)
-	}
-	// iadd: ~100% slowdown on co-execution (front-end bound).
-	iaddSolo := get(streams.IAddS, streams.MaxILP, 1)
-	iaddDuo := get(streams.IAddS, streams.MaxILP, 2)
-	if ratio := iaddDuo / iaddSolo; ratio < 1.7 || ratio > 2.4 {
-		t.Errorf("iadd co-execution slowdown ratio %.2f, want ≈2 (serialisation)", ratio)
-	}
-	// iload: HT favours TLP — cumulative dual-thread throughput is
-	// strictly better at min ILP (latency-bound chains overlap) and at
-	// least as good at max ILP (both saturate the load port).
-	minIlSolo := get(streams.ILoadS, streams.MinILP, 1)
-	minIlDuo := get(streams.ILoadS, streams.MinILP, 2)
-	if 2/minIlDuo <= 1.2*(1/minIlSolo) {
-		t.Errorf("min-ILP iload cumulative throughput did not clearly improve with 2 threads (solo %.2f, duo %.2f)", minIlSolo, minIlDuo)
-	}
-	maxIlSolo := get(streams.ILoadS, streams.MaxILP, 1)
-	maxIlDuo := get(streams.ILoadS, streams.MaxILP, 2)
-	if 2/maxIlDuo < 0.9*(1/maxIlSolo) {
-		t.Errorf("max-ILP iload cumulative throughput regressed with 2 threads (solo %.2f, duo %.2f)", maxIlSolo, maxIlDuo)
-	}
-}
-
-func TestFig2FPPanelShapes(t *testing.T) {
-	cells, err := Fig2(context.Background(), DefaultOptions(), StreamMachineConfig(),
-		[]streams.Kind{streams.FAddS, streams.FDivS},
-		[]streams.Kind{streams.FAddS, streams.FMulS, streams.FDivS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(s, p streams.Kind, ilp streams.ILP) float64 {
-		for _, c := range cells {
-			if c.Subject == s && c.Partner == p && c.ILP == ilp {
-				return c.Slowdown
-			}
-		}
-		t.Fatalf("missing cell %v×%v/%v", s, p, ilp)
-		return 0
-	}
-	// fdiv is slowed substantially by fdiv (the unpipelined divider) and
-	// stays ILP-insensitive.
-	dd := get(streams.FDivS, streams.FDivS, streams.MaxILP)
-	if dd < 0.5 {
-		t.Errorf("fdiv×fdiv slowdown = %.0f%%, want ≥50%% (paper: 120-140%%)", dd*100)
-	}
-	ddMin := get(streams.FDivS, streams.FDivS, streams.MinILP)
-	if diff := dd - ddMin; diff > 0.7 || diff < -0.7 {
-		t.Errorf("fdiv×fdiv slowdown varies with ILP (%.2f vs %.2f); paper has it insensitive", dd, ddMin)
-	}
-	// At min ILP, fadd co-exists with fmul essentially for free.
-	if s := get(streams.FAddS, streams.FMulS, streams.MinILP); s > 0.25 {
-		t.Errorf("min-ILP fadd×fmul slowdown %.0f%%, want ≈0", s*100)
-	}
-	// At max ILP, fadd suffers heavily from fmul (shared FP port).
-	if s := get(streams.FAddS, streams.FMulS, streams.MaxILP); s < 0.4 {
-		t.Errorf("max-ILP fadd×fmul slowdown %.0f%%, want large (paper: 180%%)", s*100)
-	}
-}
-
-func TestFig2IntPanelShapes(t *testing.T) {
-	cells, err := Fig2(context.Background(), DefaultOptions(), StreamMachineConfig(),
-		[]streams.Kind{streams.IAddS, streams.IMulS},
-		[]streams.Kind{streams.IAddS, streams.IMulS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cells {
-		if c.Subject == streams.IAddS && c.Partner == streams.IAddS && c.ILP == streams.MaxILP {
-			if c.Slowdown < 0.7 {
-				t.Errorf("iadd×iadd slowdown %.0f%%, want ≈100%%", c.Slowdown*100)
-			}
-		}
-		if c.Subject == streams.IMulS && c.Partner == streams.IAddS && c.ILP == streams.MaxILP {
-			// imul is almost unaffected by co-existing threads.
-			if c.Slowdown > 0.35 {
-				t.Errorf("imul slowed %.0f%% by iadd, want small", c.Slowdown*100)
-			}
-		}
-	}
-}
-
 func TestRunKernelAndFormat(t *testing.T) {
 	k, err := mm.New(mm.DefaultConfig(32))
 	if err != nil {
@@ -249,26 +139,5 @@ func TestSensitivityRejectsInvalidVariant(t *testing.T) {
 	}, kernels.Serial, []Variant{{"bad", "rob=0", func(c *smt.Config) { c.ROB = 0 }}})
 	if err == nil {
 		t.Fatal("invalid variant accepted")
-	}
-}
-
-func TestFigureSweepsSmall(t *testing.T) {
-	ms, err := Fig3MM(context.Background(), DefaultOptions(), []int{32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 6 { // six MM modes including serial+pf
-		t.Fatalf("fig3 rows = %d, want 6", len(ms))
-	}
-	lu, err := Fig4LU(context.Background(), DefaultOptions(), []int{32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lu) != 3 {
-		t.Fatalf("fig4 rows = %d, want 3", len(lu))
-	}
-	out := FormatKernelFigure("t", append(ms, lu...))
-	if !strings.Contains(out, "serial+pf") || !strings.Contains(out, "tlp-pfetch") {
-		t.Errorf("figure format incomplete:\n%s", out)
 	}
 }

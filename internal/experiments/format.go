@@ -88,6 +88,17 @@ func FormatFig2(title string, cells []Fig2Cell) string {
 	return b.String()
 }
 
+// SerialOf extracts the serial baseline with the given label from a
+// metrics list.
+func SerialOf(ms []KernelMetrics, label string) (KernelMetrics, bool) {
+	for _, m := range ms {
+		if m.Mode == kernels.Serial && m.Label == label {
+			return m, true
+		}
+	}
+	return KernelMetrics{}, false
+}
+
 // FormatKernelFigure renders a Figure 3/4/5 metrics list as the paper's
 // four panels: execution time (with the factor relative to serial), L2
 // misses under the paper's reporting convention, resource stall cycles,

@@ -1,7 +1,8 @@
 // Package report encodes the paper's quantitative claims and evaluates
-// the reproduction against them programmatically: it collects every
-// figure's data through internal/experiments and renders a verdict table
-// (the generated counterpart of EXPERIMENTS.md's summary).
+// the reproduction against them programmatically and renders a verdict
+// table (the generated counterpart of EXPERIMENTS.md's summary). The
+// figure data comes from the study engine (synth.CollectData); Collect
+// gathers Table 1 and the ablations.
 //
 // A "pass" means the *shape* holds — the method ordering, the sign of a
 // speedup, the direction and rough magnitude of a counter change — not
@@ -37,13 +38,8 @@ type Data struct {
 	MMLabel, LULabel string
 }
 
-// Options sizes the collection runs.
+// Options configures the collection runs.
 type Options struct {
-	// MMSizes / LUSizes override the figure sweeps (nil = full sweep).
-	MMSizes []int
-	LUSizes []int
-	// SkipStreams skips the Figure 1/2 collection (kernel-only reports).
-	SkipStreams bool
 	// SkipAblations skips the §3.1/§3.2 studies.
 	SkipAblations bool
 	// Workers bounds the concurrent simulation cells within each
@@ -55,13 +51,10 @@ type Options struct {
 	Cache *runner.Cache
 }
 
-// Collect runs every experiment needed by the claim set. With the zero
-// Options this regenerates the complete evaluation (several minutes of
-// simulation serially; the cells of each figure fan out over
-// opt.Workers, and one result cache spans the whole collection so cells
-// shared between figures — solo stream baselines, Figure 1 duos
-// reappearing as Figure 2 diagonals, repeated kernel configurations —
-// simulate once).
+// Collect runs the experiments the study engine has no grid for: Table 1
+// and, unless skipped, the ablations and selective halting. The figure
+// grids come from running studies/fig*.study.json through the engine
+// and synth.CollectData; the caller merges the two halves of Data.
 func Collect(ctx context.Context, opt Options) (*Data, error) {
 	d := &Data{}
 	var err error
@@ -70,42 +63,6 @@ func Collect(ctx context.Context, opt Options) (*Data, error) {
 		cache = runner.NewCache()
 	}
 	eopt := experiments.Options{Workers: opt.Workers, Cache: cache}
-
-	if !opt.SkipStreams {
-		if d.Fig1, err = experiments.Fig1(ctx, eopt, experiments.StreamMachineConfig(), experiments.Fig1Kinds()); err != nil {
-			return nil, fmt.Errorf("report: fig1: %w", err)
-		}
-		if d.Fig2a, err = experiments.Fig2a(ctx, eopt, experiments.StreamMachineConfig()); err != nil {
-			return nil, fmt.Errorf("report: fig2a: %w", err)
-		}
-		if d.Fig2b, err = experiments.Fig2b(ctx, eopt, experiments.StreamMachineConfig()); err != nil {
-			return nil, fmt.Errorf("report: fig2b: %w", err)
-		}
-	}
-
-	mmSizes := opt.MMSizes
-	if mmSizes == nil {
-		mmSizes = experiments.MMSizes()
-	}
-	luSizes := opt.LUSizes
-	if luSizes == nil {
-		luSizes = experiments.LUSizes()
-	}
-	d.MMLabel = fmt.Sprintf("N=%d", mmSizes[len(mmSizes)-1])
-	d.LULabel = fmt.Sprintf("N=%d", luSizes[len(luSizes)-1])
-
-	if d.MM, err = experiments.Fig3MM(ctx, eopt, mmSizes); err != nil {
-		return nil, fmt.Errorf("report: fig3: %w", err)
-	}
-	if d.LU, err = experiments.Fig4LU(ctx, eopt, luSizes); err != nil {
-		return nil, fmt.Errorf("report: fig4: %w", err)
-	}
-	if d.CG, err = experiments.Fig5CG(ctx, eopt); err != nil {
-		return nil, fmt.Errorf("report: fig5 cg: %w", err)
-	}
-	if d.BT, err = experiments.Fig5BT(ctx, eopt); err != nil {
-		return nil, fmt.Errorf("report: fig5 bt: %w", err)
-	}
 	if d.Table1, err = experiments.Table1(ctx, eopt); err != nil {
 		return nil, fmt.Errorf("report: table1: %w", err)
 	}

@@ -145,22 +145,22 @@ func TestEvaluateSkipsMissingData(t *testing.T) {
 	}
 }
 
-// TestCollectQuick exercises the real collection path on tiny instances.
+// TestCollectQuick exercises the real collection path (Table 1; the
+// figure grids come from the study engine, covered by cmd/report's
+// golden test).
 func TestCollectQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collection is slow")
 	}
-	d, err := Collect(context.Background(), Options{
-		MMSizes:       []int{32},
-		LUSizes:       []int{32},
-		SkipStreams:   true,
-		SkipAblations: true,
-	})
+	d, err := Collect(context.Background(), Options{SkipAblations: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.MM) == 0 || len(d.Table1) == 0 {
+	if len(d.Table1) == 0 {
 		t.Fatal("collection returned empty data")
+	}
+	if d.Sync != nil || d.Span != nil {
+		t.Error("SkipAblations still ran the ablations")
 	}
 	vs := Evaluate(d)
 	if len(vs) == 0 {

@@ -1,6 +1,6 @@
 // Package service exposes the reproduction's simulator as a long-running
 // job service: clients submit batches of cells — the same independent,
-// content-addressable units the figure harnesses fan out — and poll or
+// content-addressable units a compiled figure study fans out — and poll or
 // stream progress while a bounded queue of workers executes them through
 // the shared runner cache (optionally backed by a disk store, so results
 // survive restarts and are shared with the CLI tools).
@@ -9,7 +9,8 @@
 // stream cell is one Figure 1/2 measurement (one or two co-executed
 // streams over a cycle window), a kernel cell is one Figure 3/4/5 point
 // (kernel × mode × size), and a harness cell regenerates a whole named
-// figure or table with byte-identical output to the corresponding CLI.
+// table or ablation study with byte-identical output to the
+// corresponding CLI.
 package service
 
 import (
@@ -61,13 +62,10 @@ type CellSpec struct {
 	// mm/lu (required), N for cg and G for bt (0 = instance default).
 	Size int `json:"size,omitempty"`
 
-	// Harness (harness cells) names a figure or study: "fig1", "fig2a",
-	// "fig2b", "fig2c", "fig3", "fig4", "fig5cg", "fig5bt", "table1",
-	// "sync", "span", "partition" or "selective".
+	// Harness (harness cells) names a whole table or study: "table1",
+	// "sync", "span", "partition" or "selective". The figure grids are
+	// stream and kernel cells (studies/fig*.study.json).
 	Harness string `json:"harness,omitempty"`
-	// Sizes (harness cells) overrides the mm/lu sweep sizes of "fig3"
-	// and "fig4".
-	Sizes []int `json:"sizes,omitempty"`
 
 	// Observe requests per-cell observability artifacts (pipeline trace,
 	// occupancy CSV, metrics JSON); stream and kernel cells only, and

@@ -14,108 +14,46 @@ import (
 	"smtexplore/internal/streams"
 )
 
-// harnessFunc regenerates one named figure or study, returning the exact
+// harnessFunc regenerates one named table or study, returning the exact
 // bytes the corresponding CLI prints (including its trailing blank line,
 // where the CLI emits one).
-type harnessFunc func(ctx context.Context, opt experiments.Options, sizes []int) (string, error)
+type harnessFunc func(ctx context.Context, opt experiments.Options) (string, error)
 
-// harnesses maps harness-cell names onto the figure/table/study entry
-// points. The formatted output is the service's result: byte-identical
-// to `streams -fig X`, `kernels -bench Y`, `kernels -table 1` and
-// `ablate -study Z`, which is what makes the daemon path verifiable
-// against the serial CLI path.
+// harnesses maps harness-cell names onto the whole-study entry points
+// the study engine has no grid vocabulary for. The formatted output is
+// the service's result: byte-identical to `kernels -table 1` and
+// `ablate -study Z`. The paper's Figures 1–5 are not harnesses: they
+// run cell by cell from studies/fig*.study.json.
 var harnesses = map[string]harnessFunc{
-	"fig1": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
-		rows, err := experiments.Fig1(ctx, opt, experiments.StreamMachineConfig(), experiments.Fig1Kinds())
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatFig1(rows) + "\n", nil
-	},
-	"fig2a": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
-		cells, err := experiments.Fig2a(ctx, opt, experiments.StreamMachineConfig())
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatFig2("Figure 2(a) — floating-point streams", cells) + "\n", nil
-	},
-	"fig2b": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
-		cells, err := experiments.Fig2b(ctx, opt, experiments.StreamMachineConfig())
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatFig2("Figure 2(b) — integer streams", cells) + "\n", nil
-	},
-	"fig2c": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
-		cells, err := experiments.Fig2c(ctx, opt, experiments.StreamMachineConfig())
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatFig2("Figure 2(c) — mixed fp×int arithmetic", cells) + "\n", nil
-	},
-	"fig3": func(ctx context.Context, opt experiments.Options, sizes []int) (string, error) {
-		if sizes == nil {
-			sizes = experiments.MMSizes()
-		}
-		ms, err := experiments.Fig3MM(ctx, opt, sizes)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatKernelFigure("Figure 3 — Matrix Multiplication", ms) + "\n", nil
-	},
-	"fig4": func(ctx context.Context, opt experiments.Options, sizes []int) (string, error) {
-		if sizes == nil {
-			sizes = experiments.LUSizes()
-		}
-		ms, err := experiments.Fig4LU(ctx, opt, sizes)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatKernelFigure("Figure 4 — LU decomposition", ms) + "\n", nil
-	},
-	"fig5cg": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
-		ms, err := experiments.Fig5CG(ctx, opt)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatKernelFigure("Figure 5 — NAS CG", ms) + "\n", nil
-	},
-	"fig5bt": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
-		ms, err := experiments.Fig5BT(ctx, opt)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatKernelFigure("Figure 5 — NAS BT", ms) + "\n", nil
-	},
-	"table1": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
+	"table1": func(ctx context.Context, opt experiments.Options) (string, error) {
 		cols, err := experiments.Table1(ctx, opt)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatTable1(cols), nil
 	},
-	"sync": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
+	"sync": func(ctx context.Context, opt experiments.Options) (string, error) {
 		rows, err := experiments.AblateSync(ctx, opt)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatAblation("Ablation §3.1 — wait primitive of the MM prefetcher", rows) + "\n", nil
 	},
-	"span": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
+	"span": func(ctx context.Context, opt experiments.Options) (string, error) {
 		rows, err := experiments.AblateSpan(ctx, opt)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatAblation("Ablation §3.2 — precomputation span of the MM prefetcher", rows) + "\n", nil
 	},
-	"partition": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
+	"partition": func(ctx context.Context, opt experiments.Options) (string, error) {
 		rows, err := experiments.AblatePartition(ctx, opt)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatAblation("Ablation §5.3 — static partitioning vs fully shared buffers", rows) + "\n", nil
 	},
-	"selective": func(ctx context.Context, opt experiments.Options, _ []int) (string, error) {
+	"selective": func(ctx context.Context, opt experiments.Options) (string, error) {
 		r, err := experiments.SelectiveHaltLU(ctx, opt, 64)
 		if err != nil {
 			return "", err
@@ -282,7 +220,7 @@ func EvalCell(ctx context.Context, spec CellSpec, opt experiments.Options) (res 
 			err = fmt.Errorf("unknown harness %q", spec.Harness)
 			break
 		}
-		res.Text, err = h(ctx, opt, spec.Sizes)
+		res.Text, err = h(ctx, opt)
 	default:
 		err = fmt.Errorf("unknown cell type %q", spec.Type)
 	}

@@ -418,7 +418,7 @@ func TestHTTPCellResultTextFormat(t *testing.T) {
 	defer srv.Close()
 
 	st := decodeBody[JobStatus](t, postJSON(t, srv.URL+"/v1/jobs", SubmitRequest{
-		Cells: []CellSpec{{Type: TypeHarness, Harness: "fig1"}, validSpec()},
+		Cells: []CellSpec{{Type: TypeHarness, Harness: "table1"}, validSpec()},
 	}))
 	j, _ := s.Job(st.ID)
 	waitDone(t, j)

@@ -78,6 +78,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown kernel", []CellSpec{{Type: TypeKernel, Kernel: "fft"}}, "unknown kernel"},
 		{"unknown mode", []CellSpec{{Type: TypeKernel, Kernel: "mm", Mode: "warp"}}, "unknown mode"},
 		{"unknown harness", []CellSpec{{Type: TypeHarness, Harness: "fig9"}}, "unknown harness"},
+		// The figure grids are stream/kernel cells of the committed
+		// studies, not harness cells.
+		{"removed figure harness", []CellSpec{{Type: TypeHarness, Harness: "fig1"}}, "unknown harness"},
 		{"observe without dir", []CellSpec{{Type: TypeStream, Streams: []StreamSpec{{Kind: "fadd"}}, Observe: true}}, "no artifact directory"},
 	}
 	for _, tc := range cases {

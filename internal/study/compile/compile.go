@@ -2,7 +2,7 @@
 // of content-keyed simulation cells plus the table nodes that consume
 // them.
 //
-// Each cell carries the exact content key the legacy harnesses cache
+// Each cell carries the exact content key the cell primitives cache
 // and store results under (experiments.StreamCellKey/KernelCellKey), so
 // a study deduplicates in three directions at once: within itself (the
 // fig2 diagonal reuses fig1 duos), against previous studies sharing a
@@ -29,7 +29,7 @@ const (
 	// DefaultKernelCost approximates one kernel cell (mm/lu N≤128, the
 	// cg/bt defaults all finish well inside this).
 	DefaultKernelCost = 2_000_000
-	// DefaultHarnessCost approximates one whole-figure harness cell.
+	// DefaultHarnessCost approximates one whole-table harness cell.
 	DefaultHarnessCost = 10_000_000
 )
 
@@ -166,7 +166,7 @@ func streamCell(b *builder, sw spec.Sweep, pairs [][2]string) (int, error) {
 
 // compileFig1 compiles the solo/duo CPI grid: streams × ILP × threads,
 // in spec order (the committed paper specs list the paper's order, so
-// synthesis is byte-identical to the Figure 1 harness).
+// synthesis is byte-identical to `streams -fig 1`).
 func compileFig1(b *builder, sw spec.Sweep) (TableNode, error) {
 	t := TableNode{Sweep: sw, Cells: map[string]int{}}
 	for _, k := range sw.Streams {
@@ -193,7 +193,7 @@ func compileFig1(b *builder, sw spec.Sweep) (TableNode, error) {
 
 // compileFig2 compiles the pairwise slowdown matrix: solo baselines
 // first (one per kind×ILP over the subject∪partner union), then the
-// ordered duos — the same enumeration order as experiments.Fig2.
+// ordered duos.
 func compileFig2(b *builder, sw spec.Sweep) (TableNode, error) {
 	t := TableNode{Sweep: sw, Cells: map[string]int{}}
 	subjects := sw.Streams

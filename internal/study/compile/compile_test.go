@@ -112,7 +112,7 @@ func TestCompileKernelDefaultModes(t *testing.T) {
 
 func TestCompileHarness(t *testing.T) {
 	s := mustParse(t, `{"name":"h","sweeps":[
-		{"name":"a","kind":"harness","harnesses":["table1","fig1"]},
+		{"name":"a","kind":"harness","harnesses":["table1","sync"]},
 		{"name":"b","kind":"harness","harnesses":["table1"]}]}`)
 	p, err := Compile(s)
 	if err != nil {
@@ -126,5 +126,9 @@ func TestCompileHarness(t *testing.T) {
 	}
 	if _, err := Compile(mustParse(t, `{"name":"h","sweeps":[{"name":"a","kind":"harness","harnesses":["fig9"]}]}`)); err == nil {
 		t.Errorf("unknown harness accepted")
+	}
+	// The figure grids are stream/kernel sweeps, not harnesses.
+	if _, err := Compile(mustParse(t, `{"name":"h","sweeps":[{"name":"a","kind":"harness","harnesses":["fig1"]}]}`)); err == nil {
+		t.Errorf("removed fig1 harness accepted")
 	}
 }

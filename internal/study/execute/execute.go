@@ -67,6 +67,9 @@ type Local struct {
 	// optional, but without it warm detection and simulation accounting
 	// are unavailable.
 	Store *store.Store
+	// Observe writes per-cell artifacts for matching cells (the CLIs'
+	// -observe); nil observes nothing.
+	Observe *experiments.Observe
 }
 
 // NewLocal builds a local backend over an optional disk store.
@@ -101,21 +104,23 @@ func (l *Local) Run(ctx context.Context, cells []service.CellSpec, opt Options) 
 	if l.Store != nil {
 		before = l.Store.Stats()
 	}
-	results, err := runner.Map(ctx, opt.Workers, cells, func(ctx context.Context, c service.CellSpec) (service.CellResult, error) {
-		return service.EvalCell(ctx, c, experiments.Options{Workers: opt.Workers, Cache: l.Cache}), nil
+	// Results land in place: on cancellation runner.Map returns no
+	// slice, and the cells that did run must keep their results.
+	results := make([]service.CellResult, len(cells))
+	order := make([]int, len(cells))
+	for i := range order {
+		order[i] = i
+	}
+	_, err := runner.Map(ctx, opt.Workers, order, func(ctx context.Context, i int) (struct{}, error) {
+		results[i] = service.EvalCell(ctx, cells[i], experiments.Options{Workers: opt.Workers, Cache: l.Cache, Observe: l.Observe})
+		return struct{}{}, nil
 	})
-	if err != nil {
+	for i := range results {
 		// EvalCell never errors; only a cancelled context leaves cells
 		// unstarted. Mark them so the report can say which ran.
-		for i := range results {
-			if results[i].State == "" {
-				results[i] = service.CellResult{
-					Label: cells[i].Label(), State: service.CellCancelled, Error: err.Error(),
-				}
-			}
+		if results[i].State == "" {
+			results[i] = service.CellResult{Label: cells[i].Label(), State: service.CellCancelled, Error: err.Error()}
 		}
-	}
-	for i := range results {
 		results[i].Index = i
 	}
 	out := &Outcome{Results: results, Backend: l.Name(), Simulated: -1}

@@ -12,7 +12,7 @@
 //	compile.Compile Spec → deduped, content-keyed cell DAG
 //	budget.Admit    cycle/cell admission, warm cells free
 //	execute.Backend local runner or smtd/cluster job API
-//	synth.Tables    legacy-formatter tables (byte-identical grids)
+//	synth.Tables    figure tables (the CLIs' exact bytes)
 //	synth.Report    Markdown report + limitations appendix
 package study
 
@@ -69,6 +69,9 @@ type Result struct {
 	Tables  []synth.Table
 	// Report is the synthesized Markdown.
 	Report string
+	// Plan is the compiled study; with Results it feeds
+	// synth.CollectData.
+	Plan *compile.Plan
 	// Results is plan-aligned (skipped cells zero-valued).
 	Results []service.CellResult
 }
@@ -149,7 +152,7 @@ func Run(ctx context.Context, s *spec.Spec, cfg RunConfig) (*Result, error) {
 		sum.Tables = append(sum.Tables, t.Name)
 	}
 
-	res := &Result{Summary: sum, Tables: tables, Report: md, Results: results}
+	res := &Result{Summary: sum, Tables: tables, Report: md, Plan: plan, Results: results}
 	if cfg.Dir != "" {
 		if err := persist(cfg.Dir, res); err != nil {
 			return nil, err

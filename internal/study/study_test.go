@@ -39,10 +39,10 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
-// TestFig1SpecParityAndWarmReuse is the tentpole's correctness proof in
-// miniature: the committed Figure 1 spec, run through the engine, must
-// emit the exact bytes `streams -fig 1` prints, and a second run over
-// the same store must simulate nothing.
+// TestFig1SpecParityAndWarmReuse: the committed Figure 1 spec, run
+// through the engine, must emit the bytes pinned by `streams -fig 1`'s
+// golden file, and a second run over the same store must simulate
+// nothing.
 func TestFig1SpecParityAndWarmReuse(t *testing.T) {
 	s := parseFile(t, filepath.Join("..", "..", "studies", "fig1.study.json"))
 	storeDir := t.TempDir()
@@ -56,19 +56,19 @@ func TestFig1SpecParityAndWarmReuse(t *testing.T) {
 		t.Fatalf("cold run: %v", err)
 	}
 
-	rows, err := experiments.Fig1(ctx, experiments.Options{Cache: runner.NewCache()},
-		experiments.StreamMachineConfig(), experiments.Fig1Kinds())
+	// `streams -fig 1`'s output, pinned by its golden test.
+	golden, err := os.ReadFile(filepath.Join("..", "..", "cmd", "streams", "testdata", "fig1.golden"))
 	if err != nil {
-		t.Fatalf("legacy fig1: %v", err)
+		t.Fatal(err)
 	}
-	legacy := experiments.FormatFig1(rows) + "\n"
+	want := string(golden)
 
 	if len(cold.Tables) != 1 || cold.Tables[0].Name != "fig1" {
 		t.Fatalf("tables: %+v", cold.Tables)
 	}
-	if cold.Tables[0].Text != legacy {
-		t.Fatalf("study fig1 table is not byte-identical to the legacy harness:\n--- study ---\n%s--- legacy ---\n%s",
-			cold.Tables[0].Text, legacy)
+	if cold.Tables[0].Text != want {
+		t.Fatalf("study fig1 table is not byte-identical to `streams -fig 1`:\n--- study ---\n%s--- golden ---\n%s",
+			cold.Tables[0].Text, want)
 	}
 	if cold.Summary.Simulated != 30 || cold.Summary.Warm != 0 || cold.Summary.UniqueCells != 30 {
 		t.Errorf("cold summary: %+v", cold.Summary)
@@ -91,8 +91,8 @@ func TestFig1SpecParityAndWarmReuse(t *testing.T) {
 	if warm.Summary.Warm != 30 {
 		t.Errorf("warm run saw %d warm cells, want 30", warm.Summary.Warm)
 	}
-	if warm.Tables[0].Text != legacy {
-		t.Errorf("warm table diverged from the legacy bytes")
+	if warm.Tables[0].Text != want {
+		t.Errorf("warm table diverged from the golden bytes")
 	}
 
 	// Persistence: summary, report and table are on disk and loadable.
@@ -119,7 +119,7 @@ func TestFig1SpecParityAndWarmReuse(t *testing.T) {
 		}
 	}
 	tb, err := os.ReadFile(filepath.Join(outDir, "fig1", "tables", "fig1.txt"))
-	if err != nil || string(tb) != legacy {
+	if err != nil || string(tb) != want {
 		t.Errorf("persisted table diverged (err %v)", err)
 	}
 }

@@ -1,10 +1,10 @@
 // Package synth turns a compiled plan plus its cell results into the
-// study's deliverables: result tables rendered by the same formatters
-// the legacy CLIs use (so a sweep that mirrors a paper grid emits
-// byte-identical text), and a self-contained Markdown report with the
-// plan accounting, deltas vs. the paper's published numbers, and a
-// limitations/verification appendix listing every skipped or failed
-// cell.
+// study's deliverables: result tables rendered by the experiments
+// formatters (the figure CLIs print these tables, so a sweep that
+// mirrors a paper grid emits their exact text), and a self-contained
+// Markdown report with the plan accounting, deltas vs. the paper's
+// published numbers, and a limitations/verification appendix listing
+// every skipped or failed cell.
 package synth
 
 import (
@@ -24,7 +24,7 @@ import (
 type Table struct {
 	// Name is the sweep name (and the table's file stem).
 	Name string
-	// Text is the rendered table. For sweeps that mirror a legacy CLI
+	// Text is the rendered table. For sweeps that mirror a figure CLI
 	// grid this is byte-identical to that CLI's stdout, including the
 	// trailing blank line the streams/kernels commands print.
 	Text string
@@ -395,7 +395,7 @@ func Report(in Input) string {
 		fmt.Fprintf(&b, "- %s\n", n)
 	}
 	fmt.Fprintf(&b, "- budget costs are admission estimates (stream cells are exact windows; kernel/harness cells use coarse per-cell guesses), not a cycle meter.\n")
-	fmt.Fprintf(&b, "- tables whose sweep mirrors a paper grid are rendered by the legacy formatters and are byte-identical to the corresponding CLI (enforced for Fig-1/Table-1 by the study-smoke CI job).\n")
+	fmt.Fprintf(&b, "- tables whose sweep mirrors a paper grid are byte-identical to the corresponding CLI, which runs the committed studies/fig*.study.json specs through this engine; the CLIs' golden files pin Figures 1-5 and Table 1.\n")
 	return b.String()
 }
 

@@ -5,9 +5,10 @@
 #
 #   A. cell panic + wedged cell + SIGKILL mid-job: the panic is isolated
 #      to its cell, the watchdog fails the wedged cell, and after an
-#      unclean kill the journal re-runs the in-flight Figure 1 job on
-#      restart, whose served text must be byte-identical to the direct
-#      `streams -fig 1` CLI output;
+#      unclean kill the journal re-runs the in-flight sync-ablation
+#      harness job (~2 s of simulation, a wide kill window) on restart,
+#      whose served text must be byte-identical to the direct
+#      `ablate -study sync` CLI output;
 #   B. disk read errors: the circuit breaker degrades the daemon to
 #      memory-only caching (healthz "degraded", jobs keep succeeding
 #      with identical results), then heals through healthz probes;
@@ -105,8 +106,8 @@ all_terminal() {
 	fi
 }
 
-echo "== baseline: fault-free Figure 1 text"
-go run ./cmd/streams -fig 1 >"$work/fig1-direct.txt"
+echo "== baseline: fault-free sync-ablation text"
+go run ./cmd/ablate -study sync >"$work/sync-direct.txt"
 
 echo "== phase A: panic isolation, watchdog, SIGKILL + journal recovery"
 cat >"$work/plan-a.json" <<'EOF'
@@ -135,7 +136,7 @@ grep -q "watchdog" "$work/wait-j2.out"
 
 # The real workload: accepted (journaled), then the daemon dies hard
 # before it can finish.
-fig="$(ctl submit -fig 1)"
+job="$(ctl submit -fig sync)"
 kill9_daemon
 [ "$(ls "$work/journal-a"/*.job | wc -l)" -gt 0 ]
 
@@ -143,9 +144,9 @@ echo "== phase A: restart recovers the in-flight job"
 start_daemon smtd-a.log -store "$work/store-a" -journal "$work/journal-a"
 grep -q "recovered" "$work/smtd-a.log"
 g_start="$(metric smtd_goroutines)"
-ctl wait "$fig"
-ctl result -cell 0 -text "$fig" >"$work/fig1-chaos.txt"
-diff "$work/fig1-direct.txt" "$work/fig1-chaos.txt"
+ctl wait "$job"
+ctl result -cell 0 -text "$job" >"$work/sync-chaos.txt"
+diff "$work/sync-direct.txt" "$work/sync-chaos.txt"
 all_terminal
 recovered="$(metric smtd_jobs_recovered_total)"
 if [ "$recovered" -lt 1 ]; then
@@ -278,4 +279,4 @@ diff "$work/kernel-control.json" "$work/kernel-resumed.json"
 all_terminal
 stop_daemon
 
-echo "chaos smoke OK: panic isolated, watchdog fired, crash recovered (fig1 byte-identical), store degraded and healed, 429 retried, SIGKILL'd kernel resumed from checkpoint byte-identical"
+echo "chaos smoke OK: panic isolated, watchdog fired, crash recovered (sync ablation byte-identical), store degraded and healed, 429 retried, SIGKILL'd kernel resumed from checkpoint byte-identical"

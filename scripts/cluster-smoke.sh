@@ -3,11 +3,14 @@
 # the cluster-smoke CI job and `make cluster-smoke`. One coordinator,
 # three -join workers on a shared disk store, four phases:
 #
-#   A. parity: Figure 1 generated through the coordinator is
-#      byte-identical to the direct `streams -fig 1` CLI output;
+#   A. parity: the committed Figure 1 study run through the coordinator
+#      (one job of its 30 cells) is byte-identical to the direct
+#      `streams -fig 1` CLI output;
 #   B. warm restart: the whole worker fleet is drained and replaced,
-#      and the fresh fleet serves a resubmitted Figure 1 entirely from
-#      the shared store — zero cells simulated, bytes identical;
+#      and the fresh fleet serves a re-run of the study entirely from
+#      the shared store — zero cells simulated, store hits on the fresh
+#      workers (so the job reached them: the coordinator dedupes an
+#      idempotency key only onto a live job), bytes identical;
 #   C. work stealing: jobs queued directly on one worker make the
 #      coordinator reroute that owner's cells to idle workers
 #      (smtd_cluster_steals_total advances);
@@ -133,10 +136,8 @@ grep -q "live 3/3" "$work/cluster.txt"
 
 echo "== phase A: fig1 via the coordinator == direct CLI, byte for byte"
 go run ./cmd/streams -fig 1 >"$work/fig1-direct.txt"
-jf="$(ctl submit -fig 1)"
-ctl wait -q "$jf"
-ctl result -cell 0 -text "$jf" >"$work/fig1-cluster.txt"
-diff "$work/fig1-direct.txt" "$work/fig1-cluster.txt"
+ctl study run -via daemon -f studies/fig1.study.json -dir "$work/cold"
+diff "$work/fig1-direct.txt" "$work/cold/fig1/tables/fig1.txt"
 
 echo "== phase B: fresh fleet serves a warm fig1 with zero simulations"
 for w in w1 w2 w3; do stop_daemon "$w"; done
@@ -144,16 +145,20 @@ start_worker w1
 start_worker w2
 start_worker w3
 wait_live 3
-jw="$(ctl submit -fig 1)"
-ctl wait -q "$jw"
-ctl result -cell 0 -text "$jw" >"$work/fig1-warm.txt"
-diff "$work/fig1-direct.txt" "$work/fig1-warm.txt"
+ctl study run -via daemon -f studies/fig1.study.json -dir "$work/warm"
+diff "$work/fig1-direct.txt" "$work/warm/fig1/tables/fig1.txt"
 sim=0
+hits=0
 for w in w1 w2 w3; do
 	sim=$((sim + $(metric "$w" smtd_cells_simulated_total)))
+	hits=$((hits + $(metric "$w" smtd_store_hits_total)))
 done
 if [ "$sim" -ne 0 ]; then
 	echo "warm fleet simulated $sim cells, want 0 (shared store must serve them)" >&2
+	exit 1
+fi
+if [ "$hits" -eq 0 ]; then
+	echo "warm fleet recorded no store hits: the warm job never reached the workers" >&2
 	exit 1
 fi
 

@@ -9,8 +9,8 @@
 #   B. failover: SIGKILL the active coordinator while a kernel job is
 #      mid-run; the standby steals the lease, re-adopts the job from
 #      the journal, and serves a result byte-identical to an
-#      uninterrupted control — then fig1 through the promoted leader
-#      matches the direct CLI byte for byte;
+#      uninterrupted control — then the committed Figure 1 study run
+#      through the promoted leader matches the direct CLI byte for byte;
 #   C. rejoin: the killed coordinator restarts as a standby and
 #      redirects writes to the leader via X-Cluster-Leader;
 #   D. chaos loadgen: open-loop traffic with a mid-run SIGKILL of the
@@ -195,10 +195,8 @@ grep -q '"jobs_adopted"' "$work/topo-after.json"
 grep -q '"failover_latency_seconds"' "$work/topo-after.json"
 
 echo "== phase B: fig1 through the promoted leader == direct CLI, byte for byte"
-jf="$(ctl submit -fig 1)"
-wait_job "$jf" done
-ctl result -cell 0 -text "$jf" >"$work/fig1-ha.txt"
-diff "$work/fig1-direct.txt" "$work/fig1-ha.txt"
+ctl study run -via daemon -f studies/fig1.study.json -dir "$work/ha-study"
+diff "$work/fig1-direct.txt" "$work/ha-study/fig1/tables/fig1.txt"
 
 echo "== phase C: the killed coordinator rejoins as a redirecting standby"
 start_coord ca "$CA" "$CB"

@@ -84,7 +84,10 @@ cat >"$work/tenants.json" <<'EOF'
 EOF
 
 # The light tenant's traffic is identical in both scenarios (same name,
-# same seed => same arrival schedule and windows).
+# same seed => same arrival schedule and windows). Both tenants run
+# iload streams: arithmetic cells take the simulator's exact periodic
+# skip (~0.3 ms each), so the heavy tenant would never queue and never
+# be shed; memory streams are always stepped cycle by cycle.
 cat >"$work/solo.json" <<'EOF'
 {
   "seed": 4242,
@@ -92,7 +95,7 @@ cat >"$work/solo.json" <<'EOF'
   "settle": "60s",
   "tenants": [
     {"name": "light", "rate_hz": 4, "cells_per_job": 1, "priority": 5,
-     "window_base": 800000}
+     "kind": "iload", "window_base": 800000}
   ]
 }
 EOF
@@ -104,9 +107,9 @@ cat >"$work/contended.json" <<'EOF'
   "settle": "60s",
   "tenants": [
     {"name": "light", "rate_hz": 4, "cells_per_job": 1, "priority": 5,
-     "window_base": 800000},
+     "kind": "iload", "window_base": 800000},
     {"name": "heavy", "rate_hz": 40, "cells_per_job": 8,
-     "window_base": 50000}
+     "kind": "iload", "window_base": 50000}
   ]
 }
 EOF

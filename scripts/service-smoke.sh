@@ -3,13 +3,16 @@
 # service-smoke CI job and `make service-smoke`:
 #
 #   1. build smtd/smtctl, start the daemon on a random port with a disk
-#      store, submit a stream pair and the Figure 1 harness, wait;
-#   2. assert the daemon's Figure 1 text is byte-identical to the direct
+#      store, submit a stream pair, then run the committed Figure 1 study
+#      through the daemon (one job of its 30 cells);
+#   2. assert the study's Figure 1 table is byte-identical to the direct
 #      `streams -fig 1` CLI output;
 #   3. SIGTERM the daemon and verify the graceful drain completed;
-#   4. restart on the same store, resubmit, and assert the warm run
-#      simulated zero cells (everything served from disk) with identical
-#      output.
+#   4. restart on the same store, re-run the study, and assert the warm
+#      run simulated zero cells (everything served from disk) with
+#      identical output. The restarted daemon has no journal, so its
+#      idempotency table is empty: the warm job reaches the workers, and
+#      its store hits prove it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -65,13 +68,11 @@ echo "== cold run"
 start_daemon
 job="$("$bin/smtctl" -addr "$ADDR" submit -stream fadd,iload -ilp max -window 120000)"
 "$bin/smtctl" -addr "$ADDR" wait "$job"
-fig="$("$bin/smtctl" -addr "$ADDR" submit -fig 1)"
-"$bin/smtctl" -addr "$ADDR" wait "$fig"
-"$bin/smtctl" -addr "$ADDR" result -cell 0 -text "$fig" >"$work/fig1-daemon.txt"
+"$bin/smtctl" -addr "$ADDR" study run -via daemon -f studies/fig1.study.json -dir "$work/cold"
 
 echo "== daemon output vs direct CLI"
 go run ./cmd/streams -fig 1 >"$work/fig1-direct.txt"
-diff "$work/fig1-direct.txt" "$work/fig1-daemon.txt"
+diff "$work/fig1-direct.txt" "$work/cold/fig1/tables/fig1.txt"
 
 echo "== graceful shutdown"
 stop_daemon
@@ -80,10 +81,8 @@ grep -q "smtd: bye" "$work/smtd.log"
 
 echo "== warm restart on the same store"
 start_daemon
-fig2="$("$bin/smtctl" -addr "$ADDR" submit -fig 1)"
-"$bin/smtctl" -addr "$ADDR" wait "$fig2"
-"$bin/smtctl" -addr "$ADDR" result -cell 0 -text "$fig2" >"$work/fig1-warm.txt"
-diff "$work/fig1-daemon.txt" "$work/fig1-warm.txt"
+"$bin/smtctl" -addr "$ADDR" study run -via daemon -f studies/fig1.study.json -dir "$work/warm"
+diff "$work/cold/fig1/tables/fig1.txt" "$work/warm/fig1/tables/fig1.txt"
 
 simulated="$(metric smtd_cells_simulated_total)"
 hits="$(metric smtd_store_hits_total)"
