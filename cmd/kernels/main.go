@@ -134,19 +134,15 @@ func run(args []string, out io.Writer) error {
 
 	ctx := context.Background()
 	ob := observe()
-	figures := map[string]string{"mm": "fig3", "lu": "fig4", "cg": "fig5cg", "bt": "fig5bt"}
-	var sweeps []string
-	switch *bench {
-	case "all":
-		sweeps = []string{"fig3", "fig4", "fig5cg", "fig5bt"}
-	case "":
-	default:
-		if figures[*bench] == "" {
-			return fmt.Errorf("unknown benchmark %q", *bench)
-		}
-		sweeps = []string{figures[*bench]}
+	figures := map[string][]string{
+		"mm": {"fig3"}, "lu": {"fig4"}, "cg": {"fig5cg"}, "bt": {"fig5bt"},
+		"all": {"fig3", "fig4", "fig5cg", "fig5bt"},
 	}
-	if len(sweeps) > 0 {
+	sweeps, ok := figures[*bench]
+	if !ok && *bench != "" {
+		return fmt.Errorf("unknown benchmark %q", *bench)
+	}
+	if ok {
 		s, err := studies.Figures(sweeps...)
 		if err != nil {
 			return err
