@@ -57,6 +57,30 @@ func TestGoldenSync(t *testing.T) {
 	checkGolden(t, "sync", buf.Bytes())
 }
 
+// TestGoldenSpan and TestGoldenPartition pin the §3.2 span sweep and the
+// §5.3 partitioning contrast.
+func TestGoldenSpan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the span study runs full-size MM cells; skipped in -short")
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-study", "span"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "span", buf.Bytes())
+}
+
+func TestGoldenPartition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the partition study runs full-size MM cells; skipped in -short")
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-study", "partition"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "partition", buf.Bytes())
+}
+
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-study", "bogus"},

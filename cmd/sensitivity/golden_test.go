@@ -46,6 +46,18 @@ func TestGoldenMMSmall(t *testing.T) {
 	checkGolden(t, "mm-16", buf.Bytes())
 }
 
+// TestGoldenDefault pins the default sweep (mm N=64 tlp-coarse).
+func TestGoldenDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the default sweep runs ten N=64 MM cells; skipped in -short")
+	}
+	var buf bytes.Buffer
+	if err := run(nil, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "mm-64", buf.Bytes())
+}
+
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-kernel", "bogus"},
