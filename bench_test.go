@@ -1,8 +1,8 @@
 package smtexplore_test
 
-// One benchmark per table and figure of the paper's evaluation; the
-// figures run their committed studies/fig*.study.json specs through the
-// study engine, as the CLIs do. Each b.N iteration regenerates the
+// One benchmark per table and figure of the paper's evaluation; each
+// runs its committed studies/*.study.json sweep through the study
+// engine, as the CLIs do. Each b.N iteration regenerates the
 // complete figure/table (these are macro-benchmarks; run with the
 // default -benchtime or -benchtime=1x).
 // Key series values are attached as custom metrics so regressions in the
@@ -28,13 +28,13 @@ import (
 // bgCtx is the shared context of the figure benchmarks.
 var bgCtx = context.Background()
 
-// figureData regenerates the named committed figure sweeps
-// (studies/fig*.study.json) through the study engine in process on all
+// figureData regenerates the named committed sweeps
+// (studies/*.study.json) through the study engine in process on all
 // cores, with a fresh result cache (nil: none), and returns the
 // paper-claim data the sweeps reconstruct.
 func figureData(b *testing.B, workers int, cache *runner.Cache, sweeps ...string) *report.Data {
 	b.Helper()
-	s, err := studies.Figures(sweeps...)
+	s, err := studies.Select(sweeps...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,11 +178,7 @@ func BenchmarkFig5BT(b *testing.B) {
 func BenchmarkTable1Mix(b *testing.B) {
 	var cols []experiments.Table1Column
 	for i := 0; i < b.N; i++ {
-		var err error
-		cols, err = experiments.Table1(bgCtx, experiments.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		cols = figureData(b, 0, runner.NewCache(), "table1").Table1
 	}
 	for _, c := range cols {
 		if c.Kernel == "MM" && c.Mode == "serial" {
@@ -196,11 +192,7 @@ func BenchmarkTable1Mix(b *testing.B) {
 func BenchmarkAblationSync(b *testing.B) {
 	var rows []experiments.AblationRow
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblateSync(bgCtx, experiments.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows = figureData(b, 0, runner.NewCache(), "sync").Sync
 	}
 	for _, r := range rows {
 		b.ReportMetric(float64(r.Metrics.Cycles), r.Variant+"-cycles")
@@ -210,18 +202,14 @@ func BenchmarkAblationSync(b *testing.B) {
 // BenchmarkAblationSpan regenerates the §3.2 precomputation-span sweep.
 func BenchmarkAblationSpan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateSpan(bgCtx, experiments.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
+		figureData(b, 0, runner.NewCache(), "span")
 	}
 }
 
 // BenchmarkAblationPartition regenerates the §5.3 partitioning contrast.
 func BenchmarkAblationPartition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblatePartition(bgCtx, experiments.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
+		figureData(b, 0, runner.NewCache(), "partition")
 	}
 }
 
@@ -249,11 +237,7 @@ func BenchmarkFigRegenSpeedup(b *testing.B) {
 func BenchmarkSelectiveHalt(b *testing.B) {
 	var r experiments.SelectiveHaltResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.SelectiveHaltLU(bgCtx, experiments.DefaultOptions(), 64)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r = figureData(b, 0, runner.NewCache(), "selective").Selective
 	}
 	b.ReportMetric(float64(r.Baseline.Cycles), "all-spin-cycles")
 	b.ReportMetric(float64(r.Planned.Cycles), "selective-halt-cycles")

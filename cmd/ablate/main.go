@@ -1,7 +1,8 @@
 // Command ablate runs the design-choice ablation studies of the
 // reproduction: the §3.1 synchronisation-primitive comparison (raw spin
 // vs pause-augmented spin vs halt), the §3.2 precomputation-span sweep,
-// and the §5.3 static-vs-shared resource-partitioning contrast.
+// the §5.3 static-vs-shared resource-partitioning contrast and §3.1
+// selective halting.
 //
 // Usage:
 //
@@ -9,10 +10,11 @@
 //	ablate -workers 4      # bound the concurrent simulation cells
 //	ablate -store cells/   # reuse the disk-backed result store
 //
-// Simulation cells fan out over -workers (default: all cores); one
-// result cache spans the invocation, so configurations repeated across
-// studies (e.g. the default MM prefetch cell) simulate once. Output is
-// byte-identical to -workers 1.
+// The studies are the sweeps of the committed studies/ablations.study.json,
+// run in process through the study engine as one plan, so a cell shared
+// by several studies (the default MM prefetch cell, which is also a
+// Figure 3 cell) simulates once. Simulation cells fan out over -workers
+// (default: all cores). Output is byte-identical to -workers 1.
 package main
 
 import (
@@ -25,9 +27,10 @@ import (
 	"os"
 	"runtime"
 
-	"smtexplore/internal/experiments"
 	"smtexplore/internal/runner"
 	"smtexplore/internal/store"
+	"smtexplore/internal/study/execute"
+	"smtexplore/studies"
 )
 
 // errUsage marks a command-line error already reported to stderr; the
@@ -64,6 +67,16 @@ func run(args []string, out io.Writer) error {
 		fs.Usage()
 		return errUsage
 	}
+	sweeps := []string{*study}
+	switch *study {
+	case "all":
+		sweeps = []string{"sync", "span", "partition", "selective"}
+	case "sync", "span", "partition", "selective":
+	default:
+		fmt.Fprintf(os.Stderr, "unknown study %q\n", *study)
+		fs.Usage()
+		return errUsage
+	}
 	cache := runner.NewCache()
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, 0)
@@ -73,50 +86,16 @@ func run(args []string, out io.Writer) error {
 		cache.WithTier(st)
 	}
 
-	ctx := context.Background()
-	opt := experiments.Options{Workers: *workers, Cache: cache}
-	runStudy := func(name string) error {
-		var rows []experiments.AblationRow
-		var title string
-		var err error
-		switch name {
-		case "sync":
-			title = "Ablation §3.1 — wait primitive of the MM prefetcher"
-			rows, err = experiments.AblateSync(ctx, opt)
-		case "span":
-			title = "Ablation §3.2 — precomputation span of the MM prefetcher"
-			rows, err = experiments.AblateSpan(ctx, opt)
-		case "partition":
-			title = "Ablation §5.3 — static partitioning vs fully shared buffers"
-			rows, err = experiments.AblatePartition(ctx, opt)
-		case "selective":
-			r, serr := experiments.SelectiveHaltLU(ctx, opt, 64)
-			if serr != nil {
-				return serr
-			}
-			fmt.Fprint(out, experiments.FormatSelectiveHalt(r))
-			fmt.Fprintln(out)
-			return nil
-		default:
-			fmt.Fprintf(os.Stderr, "unknown study %q\n", name)
-			fs.Usage()
-			return errUsage
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, experiments.FormatAblation(title, rows))
-		fmt.Fprintln(out)
-		return nil
+	s, err := studies.Select(sweeps...)
+	if err != nil {
+		return err
 	}
-
-	if *study == "all" {
-		for _, s := range []string{"sync", "span", "partition", "selective"} {
-			if err := runStudy(s); err != nil {
-				return err
-			}
-		}
-		return nil
+	res, err := studies.Run(context.Background(), s, &execute.Local{Cache: cache}, *workers)
+	if err != nil {
+		return err
 	}
-	return runStudy(*study)
+	for _, t := range res.Tables {
+		fmt.Fprint(out, t.Text)
+	}
+	return nil
 }

@@ -16,8 +16,9 @@
 //	kernels -bench mm -observe obs/        # per-cell trace/occupancy/metrics
 //	kernels -observe obs/ -observe-match tlp-fine
 //
-// The figures are the committed studies/fig3–fig5 specs, run in process
-// through the study engine (-sizes overrides the mm and lu sizes).
+// The figures and Table 1 are the committed studies/fig3–fig5 and
+// table1 specs, run in process through the study engine as one plan
+// (-sizes overrides the mm and lu sizes).
 // Simulation cells fan out over -workers (default: all cores); one
 // result cache spans the invocation. Output is byte-identical to
 // -workers 1. With -observe, matching cells additionally write pipeline
@@ -132,8 +133,6 @@ func run(args []string, out io.Writer) error {
 		*table = 1
 	}
 
-	ctx := context.Background()
-	ob := observe()
 	figures := map[string][]string{
 		"mm": {"fig3"}, "lu": {"fig4"}, "cg": {"fig5cg"}, "bt": {"fig5bt"},
 		"all": {"fig3", "fig4", "fig5cg", "fig5bt"},
@@ -142,29 +141,24 @@ func run(args []string, out io.Writer) error {
 	if !ok && *bench != "" {
 		return fmt.Errorf("unknown benchmark %q", *bench)
 	}
-	if ok {
-		s, err := studies.Figures(sweeps...)
-		if err != nil {
-			return err
-		}
-		studies.SetSizes(s, ns)
-		res, err := studies.Run(ctx, s, &execute.Local{Cache: cache, Observe: ob}, *workers)
-		if err != nil {
-			return err
-		}
-		for _, t := range res.Tables {
-			fmt.Fprint(out, t.Text)
-		}
-	}
-
-	if *table == 1 {
-		cols, err := experiments.Table1(ctx, experiments.Options{Workers: *workers, Cache: cache, Observe: ob})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, experiments.FormatTable1(cols))
-	} else if *table != 0 {
+	switch *table {
+	case 0:
+	case 1:
+		sweeps = append(sweeps, "table1")
+	default:
 		return fmt.Errorf("unknown table %d", *table)
+	}
+	s, err := studies.Select(sweeps...)
+	if err != nil {
+		return err
+	}
+	studies.SetSizes(s, ns)
+	res, err := studies.Run(context.Background(), s, &execute.Local{Cache: cache, Observe: observe()}, *workers)
+	if err != nil {
+		return err
+	}
+	for _, t := range res.Tables {
+		fmt.Fprint(out, t.Text)
 	}
 	return nil
 }

@@ -10,11 +10,12 @@
 //	report -verbose   # additionally print every figure and table
 //	report -workers 4 # bound the concurrent simulation cells
 //
-// The figure grids run the committed studies/fig*.study.json sweeps
-// through the study engine (Figure 2(c) is not scored); Table 1 and the
-// ablations run through internal/report. Simulation cells fan out over
-// -workers (default: all cores); one result cache spans the whole
-// collection. Output is byte-identical to -workers 1.
+// The figure grids, Table 1 and the §3.1/§3.2 ablations are the sweeps
+// of the committed studies/*.study.json specs, run through the study
+// engine as one plan (Figure 2(c) and the partitioning contrast are not
+// scored). Simulation cells fan out over -workers (default: all cores);
+// one result cache spans the whole collection. Output is byte-identical
+// to -workers 1.
 package main
 
 import (
@@ -99,23 +100,22 @@ func run(args []string, out io.Writer) error {
 		cache.WithTier(st)
 	}
 
-	ctx := context.Background()
-	sweeps := []string{"fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5cg", "fig5bt"}
+	sweeps := []string{"fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5cg", "fig5bt", "table1", "sync", "span", "selective"}
 	var mmluSizes []int
 	if *quick {
-		sweeps, mmluSizes = sweeps[3:], []int{32, 64}
+		sweeps, mmluSizes = sweeps[3:8], []int{32, 64}
 	}
 	if ns, err := parseSizes(*sizes); err != nil {
 		return err
 	} else if ns != nil {
 		mmluSizes = ns
 	}
-	s, err := studies.Figures(sweeps...)
+	s, err := studies.Select(sweeps...)
 	if err != nil {
 		return err
 	}
 	studies.SetSizes(s, mmluSizes)
-	res, err := studies.Run(ctx, s, &execute.Local{Cache: cache}, *workers)
+	res, err := studies.Run(context.Background(), s, &execute.Local{Cache: cache}, *workers)
 	if err != nil {
 		return err
 	}
@@ -123,11 +123,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rest, err := report.Collect(ctx, report.Options{SkipAblations: *quick, Workers: *workers, Cache: cache})
-	if err != nil {
-		return err
-	}
-	d.Table1, d.Sync, d.Span, d.Selective = rest.Table1, rest.Sync, rest.Span, rest.Selective
 
 	if *verbose {
 		if d.Fig1 != nil {

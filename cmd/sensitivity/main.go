@@ -9,6 +9,9 @@
 //	sensitivity -kernel cg -mode tlp-pfetch
 //	sensitivity -workers 4            # bound the concurrent sweep points
 //
+// The sweep is the committed studies/sensitivity.study.json, its kernel,
+// mode and size set from the flags and run in process through the study
+// engine: each point is a named variant of the canonical kernel cell.
 // Sweep points fan out over -workers (default: all cores). Output is
 // byte-identical to -workers 1.
 package main
@@ -23,9 +26,9 @@ import (
 	"os"
 	"runtime"
 
-	"smtexplore/internal/core"
-	"smtexplore/internal/experiments"
-	"smtexplore/internal/kernels"
+	"smtexplore/internal/study/execute"
+	"smtexplore/internal/study/spec"
+	"smtexplore/studies"
 )
 
 // errUsage marks a command-line error already reported to stderr; the
@@ -64,42 +67,33 @@ func run(args []string, out io.Writer) error {
 		return errUsage
 	}
 
-	var b core.Benchmark
 	switch *kernel {
-	case "mm":
-		b = core.BenchmarkMM
-	case "lu":
-		b = core.BenchmarkLU
-	case "cg":
-		b, *size = core.BenchmarkCG, 0
-	case "bt":
-		b, *size = core.BenchmarkBT, 0
+	case "mm", "lu":
+	case "cg", "bt":
+		*size = 0
 	default:
 		fmt.Fprintf(os.Stderr, "unknown kernel %q\n", *kernel)
 		fs.Usage()
 		return errUsage
 	}
-	var mode kernels.Mode
-	found := false
-	for _, m := range kernels.AllModes() {
-		if m.String() == *modeName {
-			mode, found = m, true
-		}
-	}
-	if !found {
+	mode, err := spec.ParseMode(*modeName)
+	if err != nil || *modeName == "" {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeName)
 		fs.Usage()
 		return errUsage
 	}
 
-	opt := experiments.Options{Workers: *workers}
-	points, err := experiments.Sensitivity(context.Background(), opt, func() (experiments.Builder, error) {
-		return core.NewBuilder(b, *size)
-	}, mode, experiments.DefaultVariants())
+	s, err := studies.Select("sensitivity")
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(out, experiments.FormatSensitivity(
-		fmt.Sprintf("µarchitecture sensitivity — %s / %s", *kernel, mode), points))
+	sw := &s.Sweeps[0]
+	sw.Title = fmt.Sprintf("µarchitecture sensitivity — %s / %s", *kernel, mode)
+	sw.Kernels, sw.Modes, sw.Sizes = []string{*kernel}, []string{mode.String()}, []int{*size}
+	res, err := studies.Run(context.Background(), s, execute.NewLocal(nil), *workers)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, res.Tables[0].Text)
 	return nil
 }

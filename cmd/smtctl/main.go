@@ -8,14 +8,13 @@
 //	smtctl [-addr host:port] <command> [args]
 //	smtctl -server a,b <command> [args]      # HA pair: rotate on refusal, follow leader redirects
 //
-//	smtctl submit -fig table1                # one harness cell; prints the job ID
-//	smtctl submit -stream fadd,iload -ilp max -window 120000
+//	smtctl submit -stream fadd,iload -ilp max -window 120000   # prints the job ID
 //	smtctl submit -kernel mm -mode tlp-fine -size 64
 //	smtctl submit -kernel lu -size 64 -deadline 90s -priority 5
-//	smtctl submit -f batch.json              # raw batch ("-" reads stdin)
+//	smtctl submit -f batch.json              # raw batch ("-" reads stdin), e.g. variant or profile cells
 //	smtctl status j0001                      # job status JSON
 //	smtctl wait j0001                        # stream events until terminal
-//	smtctl result j0001 [-cell 0] [-text]    # results (terminal jobs)
+//	smtctl result j0001 [-cell 0]            # results (terminal jobs)
 //	smtctl cancel j0001                      # abort
 //	smtctl cluster                           # cluster topology (coordinators only)
 //	smtctl study run -f fig1.study.json      # compile + execute a declarative study
@@ -169,14 +168,13 @@ func (c client) printJSON(v any) error {
 // -f) and prints the assigned job ID.
 func (c client) submit(args []string) error {
 	fs := flag.NewFlagSet("smtctl submit", flag.ContinueOnError)
-	fig := fs.String("fig", "", "harness cell: a whole table or study (table1, sync, span, partition, selective); figures 1-5 run as studies: study run -f studies/figN.study.json")
 	stream := fs.String("stream", "", "stream cell: comma-separated stream kinds to co-run (e.g. fadd,iload)")
 	ilp := fs.String("ilp", "max", "stream cell ILP degree: min, med or max")
-	window := fs.Uint64("window", 0, "stream cell measurement window in cycles (0: harness default)")
+	window := fs.Uint64("window", 0, "stream cell measurement window in cycles (0: the figures' default)")
 	kernel := fs.String("kernel", "", "kernel cell: mm, lu, cg or bt")
 	mode := fs.String("mode", "serial", "kernel cell execution mode")
 	size := fs.Int("size", 0, "kernel cell problem size (mm/lu matrix dimension)")
-	file := fs.String("f", "", "submit a raw JSON batch from this file (\"-\": stdin)")
+	file := fs.String("f", "", "submit a raw JSON batch from this file (\"-\": stdin); variant and profile cells are submitted this way, whole figures and tables with study run -f studies/<name>.study.json")
 	observe := fs.Bool("observe", false, "request per-cell obs artifacts (stream/kernel cells)")
 	deadline := fs.String("deadline", "", "fail the job with an explicit cause if not done within this duration (e.g. 90s)")
 	priority := fs.Int("priority", 0, "queue priority: higher runs first and may preempt lower-priority checkpointable jobs")
@@ -203,8 +201,6 @@ func (c client) submit(args []string) error {
 		if err := json.Unmarshal(data, &req); err != nil {
 			return fmt.Errorf("parsing %s: %w", *file, err)
 		}
-	case *fig != "":
-		req.Cells = []service.CellSpec{{Type: service.TypeHarness, Harness: *fig}}
 	case *stream != "":
 		var cell service.CellSpec
 		cell.Type = service.TypeStream
@@ -219,7 +215,7 @@ func (c client) submit(args []string) error {
 			Type: service.TypeKernel, Kernel: *kernel, Mode: *mode, Size: *size, Observe: *observe,
 		}}
 	default:
-		return usage(fs, "submit needs one of -fig, -stream, -kernel or -f")
+		return usage(fs, "submit needs one of -stream, -kernel or -f")
 	}
 	// Flags layer over -f batches too, so a scripted batch can still get a
 	// per-invocation deadline or priority.
@@ -364,16 +360,12 @@ func (c client) outcome(id string, end service.Event, quiet bool) error {
 func (c client) result(args []string) error {
 	fs := flag.NewFlagSet("smtctl result", flag.ContinueOnError)
 	cell := fs.Int("cell", -1, "fetch one cell's result instead of the whole job")
-	text := fs.Bool("text", false, "print a harness cell's formatted text verbatim (requires -cell)")
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
 	id, err := jobArg(fs, "result")
 	if err != nil {
 		return err
-	}
-	if *text && *cell < 0 {
-		return usage(fs, "-text requires -cell")
 	}
 	if *cell < 0 {
 		res, err := c.api.Result(c.ctx, id)
@@ -386,18 +378,7 @@ func (c client) result(args []string) error {
 	if err != nil {
 		return err
 	}
-	if !*text {
-		return c.printJSON(res)
-	}
-	// The cell's text is the harness's formatted output, verbatim.
-	switch {
-	case res.State != service.CellDone:
-		return fmt.Errorf("cell %d %s: %s", res.Index, res.State, res.Error)
-	case res.Text == "":
-		return fmt.Errorf("cell %d: text format is only available for harness cells", res.Index)
-	}
-	_, err = io.WriteString(c.out, res.Text)
-	return err
+	return c.printJSON(res)
 }
 
 func (c client) cancel(args []string) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"os"
@@ -31,6 +32,27 @@ func ctl(t *testing.T, addr string, args ...string) (string, error) {
 	var buf bytes.Buffer
 	err := run(context.Background(), append([]string{"-addr", addr}, args...), &buf)
 	return buf.String(), err
+}
+
+// blockerBatch writes the sync ablation's three cells (mm N=64
+// tlp-pfetch under each wait primitive, ~2 s of simulation on one
+// worker) as a batch file: a job that stays running long enough to be
+// cancelled or to hold a worker.
+func blockerBatch(t *testing.T) string {
+	t.Helper()
+	var req service.SubmitRequest
+	for _, v := range []string{"wait=spin", "wait=spin+pause", "wait=halt"} {
+		req.Cells = append(req.Cells, service.CellSpec{Type: service.TypeKernel, Kernel: "mm", Size: 64, Mode: "tlp-pfetch", Variant: v})
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "blocker.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestSubmitWaitResult(t *testing.T) {
@@ -101,7 +123,7 @@ func TestWaitSurfacesCellFailure(t *testing.T) {
 func TestWaitSurfacesCancellation(t *testing.T) {
 	addr := startDaemon(t, service.Config{Workers: 1, MaxActive: 1})
 
-	out, err := ctl(t, addr, "submit", "-fig", "sync")
+	out, err := ctl(t, addr, "submit", "-f", blockerBatch(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,35 +145,15 @@ func TestWaitSurfacesCancellation(t *testing.T) {
 	}
 }
 
-func TestSubmitFigSpellings(t *testing.T) {
-	// Harness names are accepted; a bogus name, or a figure (which runs
-	// as a study, not a harness: "1", "fig1"), is rejected by the daemon
-	// at submit time.
-	addr := startDaemon(t, service.Config{})
-	for _, name := range []string{"nope", "1", "fig1"} {
-		if _, err := ctl(t, addr, "submit", "-fig", name); err == nil {
-			t.Errorf("submitting the unknown harness %q succeeded", name)
-		}
-	}
-	for _, name := range []string{"table1", "selective"} {
-		out, err := ctl(t, addr, "submit", "-fig", name)
-		if err != nil {
-			t.Errorf("submit -fig %s: %v", name, err)
-			continue
-		}
-		id := strings.TrimSpace(out)
-		if _, err := ctl(t, addr, "cancel", id); err != nil {
-			t.Errorf("cancel %s: %v", id, err)
-		}
-	}
-}
-
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},
 		{"frobnicate"},
 		{"submit"},
 		{"wait"},
+		// Whole tables run as studies (study run -f); the harness-cell
+		// flags are gone.
+		{"submit", "-fig", "sync"},
 		{"result", "-text", "j0001"},
 		{"status"},
 		{"-no-such-flag"},

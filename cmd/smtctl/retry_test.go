@@ -44,7 +44,7 @@ func TestSubmitRetryIsIdempotent(t *testing.T) {
 
 	// Occupy the single worker so the test job stays queued (a live job
 	// is what holds its idempotency key).
-	blocker, err := ctl(t, addr, "submit", "-fig", "sync")
+	blocker, err := ctl(t, addr, "submit", "-f", blockerBatch(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Command smtd is the simulation-as-a-service daemon: it exposes the
 // reproduction's simulator over HTTP/JSON. Clients submit batches of
-// cells — stream-pair CPI measurements, kernel runs, or whole named
-// harnesses like fig1 — and poll or stream progress while a bounded job
+// cells — stream-pair CPI measurements, kernel runs and their named
+// variants, or Table 1 profiling runs — and poll or stream progress while a bounded job
 // queue executes them through the shared result cache, optionally
 // backed by a disk store shared with the CLI tools.
 //

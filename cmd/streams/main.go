@@ -110,7 +110,7 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown figure %q", *fig)
 	}
-	s, err := studies.Figures(sweeps...)
+	s, err := studies.Select(sweeps...)
 	if err != nil {
 		return err
 	}

@@ -211,7 +211,6 @@ func TestEdgeParity(t *testing.T) {
 		{"result while running", "GET", "/v1/jobs/{running}/result", "", nil, 409, false},
 		{"cell index not a number", "GET", "/v1/jobs/{done}/cells/x/result", "", nil, 404, false},
 		{"cell index out of range", "GET", "/v1/jobs/{done}/cells/7/result", "", nil, 404, false},
-		{"text format of a stream cell", "GET", "/v1/jobs/{done}/cells/0/result?format=text", "", nil, 400, false},
 		{"cell result", "GET", "/v1/jobs/{done}/cells/0/result", "", nil, 200, false},
 		{"status", "GET", "/v1/jobs/{done}", "", nil, 200, false},
 		{"list", "GET", "/v1/jobs", "", nil, 200, false},

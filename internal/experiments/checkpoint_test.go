@@ -204,12 +204,19 @@ func TestCheckpointFaultInjection(t *testing.T) {
 	}
 }
 
-// TestOptionsRoutesCheckpointing verifies the Options plumbing: a keyed
-// kernel cell under an enabled Checkpointing config goes through the
+// TestOptionsRoutesCheckpointing verifies the Options plumbing: a kernel
+// cell under an enabled Checkpointing config goes through the
 // checkpointed path (visible via the write counters) and its result is
 // identical to the plain path's.
 func TestOptionsRoutesCheckpointing(t *testing.T) {
-	control := ckControl(t)
+	cell, err := resolveKernelCell("mm", 16, kernels.TLPFine, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := RunKernel(ckBuilder(t), kernels.TLPFine, KernelMachineConfig(), cell.label)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stats := &CheckpointStats{}
 	opt := Options{
 		Workers: 1,
@@ -220,9 +227,7 @@ func TestOptionsRoutesCheckpointing(t *testing.T) {
 			Stats: stats,
 		},
 	}
-	got, err := opt.runKernel(ckKey, func() (Builder, error) {
-		return mm.New(mm.DefaultConfig(16))
-	}, kernels.TLPFine, KernelMachineConfig(), ckLabel)
+	got, err := opt.runKernel(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +238,13 @@ func TestOptionsRoutesCheckpointing(t *testing.T) {
 		t.Fatal("keyed cell did not take the checkpointed path")
 	}
 
-	// An unkeyed cell must bypass checkpointing even when configured.
+	// An observed cell must bypass checkpointing even when configured.
 	before, _, _, _ := stats.Snapshot()
-	if _, err := opt.runKernel("", func() (Builder, error) {
-		return mm.New(mm.DefaultConfig(16))
-	}, kernels.Serial, KernelMachineConfig(), "mm/serial/16"); err != nil {
+	opt.Observe = &Observe{Dir: t.TempDir()}
+	if _, err := opt.runKernel(cell); err != nil {
 		t.Fatal(err)
 	}
 	if after, _, _, _ := stats.Snapshot(); after != before {
-		t.Fatal("unkeyed cell wrote checkpoints")
+		t.Fatal("observed cell wrote checkpoints")
 	}
 }

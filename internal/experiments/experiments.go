@@ -1,9 +1,11 @@
 // Package experiments contains the reproduction's cell primitives and
-// formatters: one stream cell (StreamCell) and one kernel cell
-// (NamedKernelCell) on a configured simulated machine, plus the Table 1,
-// ablation, selective-halt and sensitivity studies. The Figure 1–5
-// grids are defined by the committed studies/fig*.study.json specs and
-// run cell by cell through the study engine.
+// formatters: a stream cell (StreamCell), a kernel cell
+// (NamedKernelCell, or VariantKernelCell under a named override) and a
+// Table 1 profiling cell (ProfileCell) on a configured simulated
+// machine. Every figure and table — Figures 1–5, Table 1, the
+// ablations, selective halting and the sensitivity sweep — is a
+// committed studies/*.study.json spec, run cell by cell through the
+// study engine.
 //
 // Two machine configurations are used. Stream experiments (Figures 1-2)
 // run on the full-size NetBurst-like machine, since they are
@@ -75,6 +77,12 @@ type KernelMetrics struct {
 	PipelineFlushes uint64
 	WorkerInstr     uint64
 	HelperInstr     uint64
+
+	// WaitBarriers and HaltBarriers are set on a selective-halting cell
+	// only: the barriers its profiling pass measured, and those its plan
+	// made halt.
+	WaitBarriers int `json:",omitempty"`
+	HaltBarriers int `json:",omitempty"`
 }
 
 // L2MissesReported follows the paper's reporting convention: for the pure
@@ -100,29 +108,48 @@ func RunKernel(b Builder, mode kernels.Mode, mcfg smt.Config, label string) (Ker
 // runKernelWith is RunKernel with an optional instrument bundle attached
 // to the machine for the duration of the run.
 func runKernelWith(b Builder, mode kernels.Mode, mcfg smt.Config, label string, ins *obs.Instruments) (KernelMetrics, error) {
-	progs, err := b.Programs(mode)
+	var attach func(*smt.Machine)
+	if ins != nil {
+		attach = ins.Attach
+	}
+	m, err := runMachine(b, mode, mcfg, attach)
 	if err != nil {
 		return KernelMetrics{}, err
 	}
-	m := smt.New(mcfg)
-	// Close releases abandoned stream generators when the run errors out
-	// (deadlock, budget); a completed run has already closed its own.
 	defer m.Close()
-	if ins != nil {
-		ins.Attach(m)
+	return collectKernelMetrics(b, mode, label, m), nil
+}
+
+// runMachine runs the kernel in mode to completion on a fresh machine,
+// calling attach (when non-nil) before the programs load, and returns
+// the finished machine for the caller to read and close.
+func runMachine(b Builder, mode kernels.Mode, mcfg smt.Config, attach func(*smt.Machine)) (*smt.Machine, error) {
+	progs, err := b.Programs(mode)
+	if err != nil {
+		return nil, err
+	}
+	m := smt.New(mcfg)
+	if attach != nil {
+		attach(m)
 	}
 	m.LoadProgram(kernels.WorkerTid, progs[0])
 	if progs[1] != nil {
 		m.LoadProgram(kernels.HelperTid, progs[1])
 	}
 	res, err := m.Run(maxKernelCycles)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("experiments: %s/%v: %w", b.Name(), mode, err)
+	case !res.Completed:
+		err = fmt.Errorf("experiments: %s/%v did not complete within %d cycles", b.Name(), mode, uint64(maxKernelCycles))
+	}
 	if err != nil {
-		return KernelMetrics{}, fmt.Errorf("experiments: %s/%v: %w", b.Name(), mode, err)
+		// Close releases abandoned stream generators (deadlock, budget);
+		// a completed run has already closed its own.
+		m.Close()
+		return nil, err
 	}
-	if !res.Completed {
-		return KernelMetrics{}, fmt.Errorf("experiments: %s/%v did not complete within %d cycles", b.Name(), mode, uint64(maxKernelCycles))
-	}
-	return collectKernelMetrics(b, mode, label, m), nil
+	return m, nil
 }
 
 // collectKernelMetrics reads the monitored events off a completed run.

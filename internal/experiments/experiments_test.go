@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 
 	"smtexplore/internal/kernels"
 	"smtexplore/internal/kernels/mm"
-	"smtexplore/internal/smt"
 	"smtexplore/internal/streams"
 )
 
@@ -87,40 +85,47 @@ func TestFormatFig1AndFig2(t *testing.T) {
 }
 
 func TestSelectiveHaltLU(t *testing.T) {
-	r, err := SelectiveHaltLU(context.Background(), DefaultOptions(), 64)
+	opt := DefaultOptions()
+	base, err := NamedKernelCell(opt, "lu", 64, kernels.TLPCoarse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.WaitProfile) == 0 {
+	planned, err := VariantKernelCell(opt, "lu", 64, kernels.TLPCoarse, "halt=selective")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned.WaitBarriers == 0 {
 		t.Fatal("profiling pass recorded no per-cell waits")
 	}
-	if r.Planned.HaltTransitions == 0 && len(r.HaltCells) > 0 {
+	if planned.HaltTransitions == 0 && planned.HaltBarriers > 0 {
 		t.Error("plan selected halt cells but the rerun never halted")
+	}
+	if base.WaitBarriers != 0 || base.HaltBarriers != 0 {
+		t.Error("the canonical cell carries selective-halting counts")
 	}
 	// Selective halting must not significantly regress the spin baseline
 	// (the paper adopts it because the halted waits come out ahead).
-	if float64(r.Planned.Cycles) > 1.15*float64(r.Baseline.Cycles) {
-		t.Errorf("selective halt %d cycles vs baseline %d: regression", r.Planned.Cycles, r.Baseline.Cycles)
+	if float64(planned.Cycles) > 1.15*float64(base.Cycles) {
+		t.Errorf("selective halt %d cycles vs baseline %d: regression", planned.Cycles, base.Cycles)
 	}
-	out := FormatSelectiveHalt(r)
+	out := FormatSelectiveHalt(SelectiveHaltResult{Baseline: base, Planned: planned})
 	if !strings.Contains(out, "selective halt") {
 		t.Errorf("format wrong:\n%s", out)
 	}
 }
 
 func TestSensitivitySweep(t *testing.T) {
-	variants := []Variant{
-		DefaultVariants()[0], // baseline
-		{"alloc-width", "2", func(c *smt.Config) { c.AllocWidth = 2; c.RetireWidth = 2 }},
-	}
-	points, err := Sensitivity(context.Background(), DefaultOptions(), func() (Builder, error) {
-		return mm.New(mm.DefaultConfig(32))
-	}, kernels.TLPCoarse, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points", len(points))
+	var points []SensitivityPoint
+	for _, name := range []string{"baseline=scaled kernel machine", "alloc-width=2"} {
+		v, ok := LookupVariant(name)
+		if !ok {
+			t.Fatalf("no variant %q", name)
+		}
+		met, err := VariantKernelCell(DefaultOptions(), "mm", 32, kernels.TLPCoarse, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, SensitivityPoint{Param: v.Param, Value: v.Value, Metrics: met})
 	}
 	// Narrowing the front end must slow a front-end-bound kernel.
 	if points[1].Metrics.Cycles <= points[0].Metrics.Cycles {
@@ -134,10 +139,43 @@ func TestSensitivitySweep(t *testing.T) {
 }
 
 func TestSensitivityRejectsInvalidVariant(t *testing.T) {
-	_, err := Sensitivity(context.Background(), DefaultOptions(), func() (Builder, error) {
-		return mm.New(mm.DefaultConfig(32))
-	}, kernels.Serial, []Variant{{"bad", "rob=0", func(c *smt.Config) { c.ROB = 0 }}})
-	if err == nil {
-		t.Fatal("invalid variant accepted")
+	for _, c := range []struct {
+		kernel, variant string
+	}{
+		{"mm", "rob=0"},          // not in the table
+		{"lu", "wait=halt"},      // an mm override
+		{"mm", "halt=selective"}, // lu only
+	} {
+		if _, err := VariantKernelCell(DefaultOptions(), c.kernel, 32, kernels.Serial, c.variant); err == nil {
+			t.Errorf("%s under %q accepted", c.kernel, c.variant)
+		}
+	}
+}
+
+// TestNoOpVariantsShareTheCanonicalKey pins the dedupe the ablation and
+// sensitivity tables rely on: a variant that overrides nothing keys as
+// the canonical cell, one that does keys apart, and the selective
+// variant keys apart from its own baseline.
+func TestNoOpVariantsShareTheCanonicalKey(t *testing.T) {
+	key := func(kernel string, mode kernels.Mode, variant string) string {
+		k, err := VariantCellKey(kernel, 64, mode, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	pfetch := key("mm", kernels.TLPPfetch, "")
+	for _, v := range []string{"wait=spin+pause", "span=2 steps (8 KB)", "partitioning=static (halved per thread)", "baseline=scaled kernel machine"} {
+		if key("mm", kernels.TLPPfetch, v) != pfetch {
+			t.Errorf("no-op variant %q has its own key", v)
+		}
+	}
+	for _, v := range []string{"wait=halt", "span=4 steps (16 KB)", "partitioning=fully shared", "rob=64"} {
+		if key("mm", kernels.TLPPfetch, v) == pfetch {
+			t.Errorf("variant %q shares the canonical key", v)
+		}
+	}
+	if key("lu", kernels.TLPCoarse, "halt=selective") == key("lu", kernels.TLPCoarse, "") {
+		t.Error("the selective variant shares its baseline's key")
 	}
 }

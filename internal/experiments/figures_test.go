@@ -34,7 +34,7 @@ func runSpec(ctx context.Context, s *spec.Spec, workers int, cache *runner.Cache
 // each sweep when non-nil.
 func figureSpec(t *testing.T, edit func(*spec.Sweep), sweeps ...string) *spec.Spec {
 	t.Helper()
-	s, err := studies.Figures(sweeps...)
+	s, err := studies.Select(sweeps...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestHarnessCancellation(t *testing.T) {
 	if _, err := runSpec(ctx, figureSpec(t, func(sw *spec.Sweep) { sw.Sizes = []int{32} }, "fig3"), 0, runner.NewCache()); err == nil {
 		t.Error("the Figure 3 study ignored a cancelled context")
 	}
-	if _, err := experiments.SelectiveHaltLU(ctx, experiments.DefaultOptions(), 32); err == nil {
-		t.Error("SelectiveHaltLU ignored a cancelled context")
+	if _, err := runSpec(ctx, figureSpec(t, nil, "selective"), 0, runner.NewCache()); err == nil {
+		t.Error("the selective-halting study ignored a cancelled context")
 	}
 }
 

@@ -165,3 +165,77 @@ func FormatTable1(cols []Table1Column) string {
 	}
 	return b.String()
 }
+
+// AblationRow is one configuration of an ablation study.
+type AblationRow struct {
+	Study   string
+	Variant string
+	Metrics KernelMetrics
+}
+
+// FormatAblation renders ablation rows.
+func FormatAblation(title string, rows []AblationRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", title)
+	fmt.Fprintf(&b, "%-34s %12s %12s %12s %10s %10s\n",
+		"variant", "cycles", "l2miss(w)", "uops", "spin-uops", "halts")
+	for _, r := range rows {
+		m := r.Metrics
+		fmt.Fprintf(&b, "%-34s %12d %12d %12d %10d %10d\n",
+			r.Variant, m.Cycles, m.L2ReadMissesWorker, m.UopsRetired, m.SpinUops, m.HaltTransitions)
+	}
+	return b.String()
+}
+
+// SelectiveHaltResult is the §3.1 selective-halting methodology applied
+// to the LU coarse scheme, whose phase barriers have very different
+// wait durations (the second thread idles through every diagonal-tile
+// factorisation).
+type SelectiveHaltResult struct {
+	// Baseline is the all-spin(+pause) run the waits were profiled on:
+	// the canonical cell.
+	Baseline KernelMetrics
+	// Planned is the rerun with halt embedded in the long-duration
+	// barriers only: the halt=selective variant of the cell.
+	Planned KernelMetrics
+}
+
+// FormatSelectiveHalt renders the study. The plan's threshold is 2% of
+// the profiled runtime.
+func FormatSelectiveHalt(r SelectiveHaltResult) string {
+	out := fmt.Sprintf("Selective halting (§3.1) on LU tlp-coarse, threshold %d wait cycles\n", r.Baseline.Cycles/selectiveThresholdDivisor)
+	out += fmt.Sprintf("%-28s %12s %12s %10s %10s\n", "pass", "cycles", "spin-uops", "halts", "waits")
+	out += fmt.Sprintf("%-28s %12d %12d %10d %10d\n", "all spin+pause (profiling)",
+		r.Baseline.Cycles, r.Baseline.SpinUops, r.Baseline.HaltTransitions, r.Planned.WaitBarriers)
+	out += fmt.Sprintf("%-28s %12d %12d %10d %10d\n", "selective halt",
+		r.Planned.Cycles, r.Planned.SpinUops, r.Planned.HaltTransitions, r.Planned.HaltBarriers)
+	return out
+}
+
+// SensitivityPoint is one configuration of a µarchitecture sweep.
+type SensitivityPoint struct {
+	Param   string
+	Value   string
+	Metrics KernelMetrics
+}
+
+// FormatSensitivity renders a sweep with each point's cycle delta against
+// the first (baseline) row.
+func FormatSensitivity(title string, points []SensitivityPoint) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", title)
+	fmt.Fprintf(&b, "%-16s %-22s %12s %8s %12s\n", "param", "value", "cycles", "vs-base", "l2-misses")
+	if len(points) == 0 {
+		return b.String()
+	}
+	base := float64(points[0].Metrics.Cycles)
+	for i, p := range points {
+		rel := "-"
+		if i > 0 {
+			rel = fmt.Sprintf("%+.1f%%", (float64(p.Metrics.Cycles)/base-1)*100)
+		}
+		fmt.Fprintf(&b, "%-16s %-22s %12d %8s %12d\n",
+			p.Param, p.Value, p.Metrics.Cycles, rel, p.Metrics.L2MissesReported())
+	}
+	return b.String()
+}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"smtexplore/internal/kernels"
-	"smtexplore/internal/kernels/mm"
 	"smtexplore/internal/obs"
 	"smtexplore/internal/runner"
 	"smtexplore/internal/streams"
@@ -103,14 +102,13 @@ func TestObserveKernelCellWritesArtifacts(t *testing.T) {
 		Cache:   runner.NewCache(),
 		Observe: &Observe{Dir: dir, SampleEvery: 64},
 	}
-	km, err := opt.runKernel("obs-test-mm", func() (Builder, error) {
-		return mm.New(mm.DefaultConfig(16))
-	}, kernels.Serial, KernelMachineConfig(), "mm/serial/16-obs")
+	km, err := VariantKernelCell(opt, "mm", 16, kernels.Serial, "rob=64")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if km.Cycles == 0 {
 		t.Fatal("kernel reported zero cycles")
 	}
-	artifactSet(t, dir, "mm-serial-16-obs")
+	// A variant's artifacts are named after the instance and the variant.
+	artifactSet(t, dir, "N-16-rob-64")
 }

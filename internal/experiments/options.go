@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"smtexplore/internal/kernels"
 	"smtexplore/internal/runner"
 	"smtexplore/internal/smt"
 	"smtexplore/internal/streams"
@@ -63,35 +62,20 @@ func (o Options) measureCPI(mcfg smt.Config, specs []streams.Spec, window uint64
 	})
 }
 
-// runKernel is the cached single-cell kernel run. The builder is
-// constructed inside the cell so concurrent cells share no state; key
-// identifies the cell content (machine config, kernel config, mode,
-// label) and may be empty to bypass the cache (opaque builders).
-func (o Options) runKernel(key string, build func() (Builder, error), mode kernels.Mode, mcfg smt.Config, label string) (KernelMetrics, error) {
-	if o.Observe.wants(label) {
-		b, err := build()
-		if err != nil {
-			return KernelMetrics{}, err
-		}
+// runKernel is the cached single-cell kernel run, keyed by the cell's
+// content. Observed cells bypass the cache (a hit has nothing to trace)
+// and are never checkpointed (instruments hold live callbacks a
+// snapshot cannot carry).
+func (o Options) runKernel(c kernelCell) (KernelMetrics, error) {
+	if o.Observe.wants(c.observeLabel) {
 		ins := o.Observe.instruments()
-		km, err := runKernelWith(b, mode, mcfg, label, ins)
+		km, err := c.run(ins, nil)
 		if err != nil {
 			return KernelMetrics{}, err
 		}
-		return km, o.export(ins, label, true)
+		return km, o.export(ins, c.observeLabel, true)
 	}
-	compute := func() (KernelMetrics, error) {
-		b, err := build()
-		if err != nil {
-			return KernelMetrics{}, err
-		}
-		if key != "" && o.Checkpoint.enabled() {
-			return runKernelCheckpointed(b, mode, mcfg, label, key, o.Checkpoint)
-		}
-		return RunKernel(b, mode, mcfg, label)
-	}
-	if key == "" {
-		return compute()
-	}
-	return runner.CachedMetered(o.Cache, key, o.Meter, compute)
+	return runner.CachedMetered(o.Cache, c.key, o.Meter, func() (KernelMetrics, error) {
+		return c.run(nil, o.Checkpoint)
+	})
 }

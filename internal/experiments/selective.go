@@ -1,135 +1,40 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-
-	"smtexplore/internal/isa"
-	"smtexplore/internal/kernels"
 	"smtexplore/internal/kernels/lu"
-	"smtexplore/internal/perfmon"
-	"smtexplore/internal/smt"
 	"smtexplore/internal/syncprim"
 )
 
-// SelectiveHaltResult reports the §3.1 selective-halting methodology
-// applied to the LU coarse scheme, whose three phase barriers have very
-// different wait durations (the second thread idles through every
-// diagonal-tile factorisation).
-type SelectiveHaltResult struct {
-	// Baseline is the all-spin(+pause) run used for profiling.
-	Baseline KernelMetrics
-	// Planned is the rerun with halt embedded in the long-duration
-	// barriers only.
-	Planned KernelMetrics
-	// WaitProfile is the measured per-cell wait-cycle profile of the
-	// baseline run.
-	WaitProfile map[isa.Cell]uint64
-	// HaltCells are the barrier cells the plan selected for halting.
-	HaltCells []isa.Cell
-	// Threshold is the wait-cycle cutoff used.
-	Threshold uint64
-}
+// selectiveThresholdDivisor sets selective halting's cutoff. The paper
+// halts where threads "spin for a considerable portion of their total
+// execution time"; the cutoff is 2% of the profiled runtime.
+const selectiveThresholdDivisor = 50
 
-// SelectiveHaltLU runs the two-pass methodology on LU (dimension n):
-// first an all-spin profiling pass measuring the time the threads spend
-// on every barrier, then a rerun with processor halting embedded only in
-// the barriers where the waits are a considerable portion of execution
-// time. The passes are inherently sequential (the second consumes the
-// first's wait profile), so opt contributes no fan-out here; ctx is
-// checked between the passes.
-func SelectiveHaltLU(ctx context.Context, opt Options, n int) (SelectiveHaltResult, error) {
-	if err := ctx.Err(); err != nil {
-		return SelectiveHaltResult{}, err
-	}
-	// Pass 1: profile with the default spin+pause barriers.
-	base, err := lu.New(lu.DefaultConfig(n))
+// planSelective is the profiling pass of the §3.1 selective-halting
+// methodology: it runs the lu cell with its default spin+pause
+// barriers, measures the wait cycles at every barrier, and returns the
+// cell's configuration with halt embedded only in the barriers whose
+// waits pass the cutoff, plus the number of barriers profiled and
+// planned to halt. The kernel is rebuilt identically from the returned
+// configuration (same cell allocation order), so the plan's cells line
+// up in the second pass.
+func (c kernelCell) planSelective() (cfg lu.Config, waits, halts int, err error) {
+	cfg = c.cfg.(lu.Config)
+	b, err := lu.New(cfg)
 	if err != nil {
-		return SelectiveHaltResult{}, err
+		return cfg, 0, 0, err
 	}
-	progs, err := base.Programs(kernels.TLPCoarse)
+	m, err := runMachine(b, c.mode, c.mcfg, nil)
 	if err != nil {
-		return SelectiveHaltResult{}, err
+		return cfg, 0, 0, err
 	}
-	m := smt.New(KernelMachineConfig())
-	m.LoadProgram(kernels.WorkerTid, progs[0])
-	m.LoadProgram(kernels.HelperTid, progs[1])
-	res, err := m.Run(maxKernelCycles)
-	if err != nil {
-		return SelectiveHaltResult{}, err
-	}
-	if !res.Completed {
-		return SelectiveHaltResult{}, fmt.Errorf("experiments: selective-halt profiling pass did not complete")
-	}
+	defer m.Close()
 	profile := m.WaitProfile()
-	baseline := metricsFromMachine(m, "lu", kernels.TLPCoarse, fmt.Sprintf("N=%d", n))
-	if err := ctx.Err(); err != nil {
-		return SelectiveHaltResult{}, err
-	}
-
-	// The paper's criterion: halt where threads "spin for a considerable
-	// portion of their total execution time". Use 2% of the profiled
-	// runtime as the cutoff.
-	threshold := m.Cycle() / 50
-	plan := syncprim.PlanFromProfile(profile, threshold, syncprim.SpinPause)
-	var haltCells []isa.Cell
-	for c, k := range plan {
+	cfg.WaitPlan = syncprim.PlanFromProfile(profile, m.Cycle()/selectiveThresholdDivisor, syncprim.SpinPause)
+	for _, k := range cfg.WaitPlan {
 		if k == syncprim.HaltWait {
-			haltCells = append(haltCells, c)
+			halts++
 		}
 	}
-
-	// Pass 2: rerun with the plan. The kernel is rebuilt identically
-	// (same cell allocation order), so the plan's cells line up. The
-	// cell is uncached (key ""): the plan's map has no deterministic
-	// rendering to key on.
-	met, err := opt.runKernel("", func() (Builder, error) {
-		cfg := lu.DefaultConfig(n)
-		cfg.WaitPlan = plan
-		return lu.New(cfg)
-	}, kernels.TLPCoarse, KernelMachineConfig(), fmt.Sprintf("N=%d", n))
-	if err != nil {
-		return SelectiveHaltResult{}, err
-	}
-	return SelectiveHaltResult{
-		Baseline:    baseline,
-		Planned:     met,
-		WaitProfile: profile,
-		HaltCells:   haltCells,
-		Threshold:   threshold,
-	}, nil
-}
-
-// metricsFromMachine extracts KernelMetrics from a finished machine (for
-// runs driven outside RunKernel).
-func metricsFromMachine(m *smt.Machine, kernel string, mode kernels.Mode, label string) KernelMetrics {
-	c := m.Counters()
-	h := m.Hierarchy()
-	return KernelMetrics{
-		Kernel:              kernel,
-		Mode:                mode,
-		Label:               label,
-		Cycles:              m.Cycle(),
-		L2ReadMissesWorker:  h.Thread(kernels.WorkerTid).L2ReadMisses,
-		L2ReadMissesBoth:    h.Thread(0).L2ReadMisses + h.Thread(1).L2ReadMisses,
-		ResourceStallCycles: c.Total(perfmon.ResourceStallCycles),
-		UopsRetired:         c.Total(perfmon.UopsRetired),
-		SpinUops:            c.Total(perfmon.SpinUopsRetired),
-		MachineClears:       c.Total(perfmon.MachineClears),
-		HaltTransitions:     c.Total(perfmon.HaltTransitions),
-		PipelineFlushes:     c.Total(perfmon.PipelineFlushes),
-		WorkerInstr:         c.Get(perfmon.InstrRetired, kernels.WorkerTid),
-		HelperInstr:         c.Get(perfmon.InstrRetired, kernels.HelperTid),
-	}
-}
-
-// FormatSelectiveHalt renders the study.
-func FormatSelectiveHalt(r SelectiveHaltResult) string {
-	out := fmt.Sprintf("Selective halting (§3.1) on LU tlp-coarse, threshold %d wait cycles\n", r.Threshold)
-	out += fmt.Sprintf("%-28s %12s %12s %10s %10s\n", "pass", "cycles", "spin-uops", "halts", "waits")
-	out += fmt.Sprintf("%-28s %12d %12d %10d %10d\n", "all spin+pause (profiling)",
-		r.Baseline.Cycles, r.Baseline.SpinUops, r.Baseline.HaltTransitions, len(r.WaitProfile))
-	out += fmt.Sprintf("%-28s %12d %12d %10d %10d\n", "selective halt",
-		r.Planned.Cycles, r.Planned.SpinUops, r.Planned.HaltTransitions, len(r.HaltCells))
-	return out
+	return cfg, len(profile), halts, nil
 }

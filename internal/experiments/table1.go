@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"smtexplore/internal/kernels"
@@ -11,7 +10,6 @@ import (
 	"smtexplore/internal/kernels/mm"
 	"smtexplore/internal/profile"
 	"smtexplore/internal/runner"
-	"smtexplore/internal/smt"
 )
 
 // Table1Column is one column of Table 1: the per-subunit utilisation of
@@ -31,93 +29,92 @@ type Table1Column struct {
 	TotalInstr uint64
 }
 
-// table1Instance binds a kernel to the instance used for profiling
-// (smaller than the Figure runs: mixes are size-invariant). The builder
-// is constructed per profiling cell — deterministically, from cfg — so
-// the three columns of an instance can run concurrently.
-type table1Instance struct {
-	name  string
-	cfg   any // the kernel's Config value, for the cache key
-	build func() (Builder, error)
-	// tlpMode is the work-partitioning mode profiled in the "tlp" column.
-	tlpMode kernels.Mode
-	// sprMode is the precomputation mode profiled in the "spr" column.
-	sprMode kernels.Mode
+// profileCell is one resolved Table 1 profiling cell.
+type profileCell struct {
+	key    string
+	kernel string // the Table 1 heading: "MM", "LU", "CG", "BT"
+	column string // "serial", "tlp" or "spr"
+	cfg    any
+	mode   kernels.Mode
+	tid    int // the instrumented thread
 }
 
-func table1Instances() []table1Instance {
-	cgCfg := cg.DefaultConfig()
-	cgCfg.Iters = 2
-	btCfg := bt.DefaultConfig()
-	btCfg.G = 6
-	btCfg.Steps = 1
-	return []table1Instance{
-		{"MM", mm.DefaultConfig(32), func() (Builder, error) { return mm.New(mm.DefaultConfig(32)) }, kernels.TLPCoarse, kernels.TLPPfetch},
-		{"LU", lu.DefaultConfig(32), func() (Builder, error) { return lu.New(lu.DefaultConfig(32)) }, kernels.TLPCoarse, kernels.TLPPfetch},
-		{"CG", cgCfg, func() (Builder, error) { return cg.New(cgCfg) }, kernels.TLPCoarse, kernels.TLPPfetch},
-		{"BT", btCfg, func() (Builder, error) { return bt.New(btCfg) }, kernels.TLPCoarse, kernels.TLPPfetch},
+// resolveProfileCell binds a kernel to its profiling instance (smaller
+// than the Figure runs: mixes are size-invariant) and a mode to its
+// Table 1 column: serial and tlp-coarse profile the work thread,
+// tlp-pfetch the prefetcher.
+func resolveProfileCell(kernel string, mode kernels.Mode) (profileCell, error) {
+	c := profileCell{mode: mode, tid: kernels.WorkerTid}
+	switch kernel {
+	case "mm":
+		c.kernel, c.cfg = "MM", mm.DefaultConfig(32)
+	case "lu":
+		c.kernel, c.cfg = "LU", lu.DefaultConfig(32)
+	case "cg":
+		cfg := cg.DefaultConfig()
+		cfg.Iters = 2
+		c.kernel, c.cfg = "CG", cfg
+	case "bt":
+		cfg := bt.DefaultConfig()
+		cfg.G = 6
+		cfg.Steps = 1
+		c.kernel, c.cfg = "BT", cfg
+	default:
+		return c, fmt.Errorf("experiments: unknown kernel %q", kernel)
 	}
+	switch mode {
+	case kernels.Serial:
+		c.column = "serial"
+	case kernels.TLPCoarse:
+		c.column = "tlp"
+	case kernels.TLPPfetch:
+		c.column, c.tid = "spr", kernels.HelperTid
+	default:
+		return c, fmt.Errorf("experiments: Table 1 profiles serial, tlp-coarse and tlp-pfetch, not %v", mode)
+	}
+	c.key = runner.Key("table1", KernelMachineConfig(), c.kernel, c.cfg, mode, c.tid)
+	return c, nil
 }
 
-// Table1 regenerates the paper's Table 1: for each kernel, the dynamic
-// instruction-mix breakdown of the serial thread, of one TLP work thread,
-// and of the SPR prefetcher thread, as collected by the Pin-analogue
-// profiler on the retirement stream. The twelve profiling cells fan out
-// over opt.Workers.
-func Table1(ctx context.Context, opt Options) ([]Table1Column, error) {
-	type cell struct {
-		inst   table1Instance
-		mode   kernels.Mode
-		column string // "serial", "tlp" or "spr"
-		tid    int
+// ProfileCellKey is the content key ProfileCell caches under.
+func ProfileCellKey(kernel string, mode kernels.Mode) (string, error) {
+	c, err := resolveProfileCell(kernel, mode)
+	return c.key, err
+}
+
+// ProfileCell is one column of the paper's Table 1: the dynamic
+// instruction mix of the kernel's serial thread (mode serial), of one
+// TLP work thread (tlp-coarse) or of the SPR prefetcher thread
+// (tlp-pfetch), as collected by the Pin-analogue profiler on the
+// retirement stream.
+func ProfileCell(o Options, kernel string, mode kernels.Mode) (Table1Column, error) {
+	c, err := resolveProfileCell(kernel, mode)
+	if err != nil {
+		return Table1Column{}, err
 	}
-	var cells []cell
-	for _, inst := range table1Instances() {
-		cells = append(cells,
-			cell{inst, kernels.Serial, "serial", kernels.WorkerTid},
-			cell{inst, inst.tlpMode, "tlp", kernels.WorkerTid},
-			cell{inst, inst.sprMode, "spr", kernels.HelperTid},
-		)
-	}
-	mcfg := KernelMachineConfig()
-	return runner.Map(ctx, opt.Workers, cells, func(_ context.Context, c cell) (Table1Column, error) {
-		key := runner.Key("table1", mcfg, c.inst.name, c.inst.cfg, c.mode, c.tid)
-		col, err := runner.CachedMetered(opt.Cache, key, opt.Meter, func() (Table1Column, error) {
-			return profileThread(c.inst.build, c.mode, c.tid)
-		})
-		if err != nil {
-			return Table1Column{}, fmt.Errorf("table1 %s %s: %w", c.inst.name, c.column, err)
-		}
-		col.Kernel, col.Mode = c.inst.name, c.column
-		return col, nil
+	col, err := runner.CachedMetered(o.Cache, c.key, o.Meter, func() (Table1Column, error) {
+		return profileThread(c.cfg, mode, c.tid)
 	})
+	if err != nil {
+		return Table1Column{}, fmt.Errorf("table1 %s %s: %w", c.kernel, c.column, err)
+	}
+	col.Kernel, col.Mode = c.kernel, c.column
+	return col, nil
 }
 
 // profileThread runs the kernel in the given mode and profiles the
 // instrumented thread's retired instruction mix.
-func profileThread(build func() (Builder, error), mode kernels.Mode, tid int) (Table1Column, error) {
-	b, err := build()
+func profileThread(cfg any, mode kernels.Mode, tid int) (Table1Column, error) {
+	b, err := newBuilder(cfg)
 	if err != nil {
 		return Table1Column{}, err
 	}
-	progs, err := b.Programs(mode)
-	if err != nil {
-		return Table1Column{}, err
-	}
-	m := smt.New(KernelMachineConfig())
 	col := profile.NewCollector()
-	col.Attach(m)
-	m.LoadProgram(kernels.WorkerTid, progs[0])
-	if progs[1] != nil {
-		m.LoadProgram(kernels.HelperTid, progs[1])
-	}
-	res, err := m.Run(maxKernelCycles)
+	m, err := runMachine(b, mode, KernelMachineConfig(), col.Attach)
 	if err != nil {
 		return Table1Column{}, err
 	}
-	if !res.Completed {
-		return Table1Column{}, fmt.Errorf("profiling run did not complete")
-	}
+	defer m.Close()
 	out := Table1Column{
 		Share:      make(map[profile.Row]float64, profile.NumRows),
 		ALU0Share:  col.ALU0Share(tid),

@@ -1,8 +1,8 @@
 // Package report encodes the paper's quantitative claims and evaluates
 // the reproduction against them programmatically and renders a verdict
 // table (the generated counterpart of EXPERIMENTS.md's summary). The
-// figure data comes from the study engine (synth.CollectData); Collect
-// gathers Table 1 and the ablations.
+// data comes from running the committed studies through the study
+// engine (synth.CollectData).
 //
 // A "pass" means the *shape* holds — the method ordering, the sign of a
 // speedup, the direction and rough magnitude of a counter change — not
@@ -10,13 +10,11 @@
 package report
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"smtexplore/internal/experiments"
 	"smtexplore/internal/kernels"
-	"smtexplore/internal/runner"
 	"smtexplore/internal/streams"
 )
 
@@ -36,49 +34,6 @@ type Data struct {
 
 	// MMLabel/LULabel name the size class used for the kernel claims.
 	MMLabel, LULabel string
-}
-
-// Options configures the collection runs.
-type Options struct {
-	// SkipAblations skips the §3.1/§3.2 studies.
-	SkipAblations bool
-	// Workers bounds the concurrent simulation cells within each
-	// experiment (≤0 → GOMAXPROCS).
-	Workers int
-	// Cache overrides the per-collection result cache (nil → a fresh
-	// in-memory one). Attach a runner.Tier-backed cache to reuse results
-	// across invocations and with the smtd daemon.
-	Cache *runner.Cache
-}
-
-// Collect runs the experiments the study engine has no grid for: Table 1
-// and, unless skipped, the ablations and selective halting. The figure
-// grids come from running studies/fig*.study.json through the engine
-// and synth.CollectData; the caller merges the two halves of Data.
-func Collect(ctx context.Context, opt Options) (*Data, error) {
-	d := &Data{}
-	var err error
-	cache := opt.Cache
-	if cache == nil {
-		cache = runner.NewCache()
-	}
-	eopt := experiments.Options{Workers: opt.Workers, Cache: cache}
-	if d.Table1, err = experiments.Table1(ctx, eopt); err != nil {
-		return nil, fmt.Errorf("report: table1: %w", err)
-	}
-
-	if !opt.SkipAblations {
-		if d.Sync, err = experiments.AblateSync(ctx, eopt); err != nil {
-			return nil, fmt.Errorf("report: ablate sync: %w", err)
-		}
-		if d.Span, err = experiments.AblateSpan(ctx, eopt); err != nil {
-			return nil, fmt.Errorf("report: ablate span: %w", err)
-		}
-		if d.Selective, err = experiments.SelectiveHaltLU(ctx, eopt, 64); err != nil {
-			return nil, fmt.Errorf("report: selective halt: %w", err)
-		}
-	}
-	return d, nil
 }
 
 // Verdict is one evaluated claim.

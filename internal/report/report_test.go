@@ -1,7 +1,6 @@
 package report
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -142,28 +141,5 @@ func TestEvaluateSkipsMissingData(t *testing.T) {
 	out := Format(vs)
 	if !strings.Contains(out, "skip") {
 		t.Error("format does not show skips")
-	}
-}
-
-// TestCollectQuick exercises the real collection path (Table 1; the
-// figure grids come from the study engine, covered by cmd/report's
-// golden test).
-func TestCollectQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("collection is slow")
-	}
-	d, err := Collect(context.Background(), Options{SkipAblations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Table1) == 0 {
-		t.Fatal("collection returned empty data")
-	}
-	if d.Sync != nil || d.Span != nil {
-		t.Error("SkipAblations still ran the ablations")
-	}
-	vs := Evaluate(d)
-	if len(vs) == 0 {
-		t.Fatal("no verdicts")
 	}
 }

@@ -8,9 +8,9 @@
 // The job/cell model maps directly onto the paper's experiment grid: a
 // stream cell is one Figure 1/2 measurement (one or two co-executed
 // streams over a cycle window), a kernel cell is one Figure 3/4/5 point
-// (kernel × mode × size), and a harness cell regenerates a whole named
-// table or ablation study with byte-identical output to the
-// corresponding CLI.
+// (kernel × mode × size, optionally under a named variant — one row of
+// an ablation or sensitivity table), and a profile cell is one column of
+// Table 1 (kernel × mode).
 package service
 
 import (
@@ -26,7 +26,7 @@ import (
 const (
 	TypeStream  = "stream"
 	TypeKernel  = "kernel"
-	TypeHarness = "harness"
+	TypeProfile = "profile"
 )
 
 // StreamSpec names one synthetic stream of a stream cell.
@@ -42,7 +42,7 @@ type StreamSpec struct {
 // CellSpec describes one unit of simulation work. Exactly the fields of
 // the chosen type are consulted.
 type CellSpec struct {
-	// Type selects the cell kind: "stream", "kernel" or "harness".
+	// Type selects the cell kind: "stream", "kernel" or "profile".
 	Type string `json:"type"`
 
 	// Streams (stream cells) are the co-executed streams; the number of
@@ -53,19 +53,20 @@ type CellSpec struct {
 	// 0 means the harness default (experiments.StreamWindowCycles).
 	Window uint64 `json:"window,omitempty"`
 
-	// Kernel (kernel cells) is "mm", "lu", "cg" or "bt".
+	// Kernel (kernel and profile cells) is "mm", "lu", "cg" or "bt".
 	Kernel string `json:"kernel,omitempty"`
-	// Mode (kernel cells) is the execution mode ("serial", "tlp-fine",
-	// …). Empty means "serial".
+	// Mode (kernel and profile cells) is the execution mode ("serial",
+	// "tlp-fine", …). Empty means "serial". Profile cells take serial,
+	// tlp-coarse or tlp-pfetch.
 	Mode string `json:"mode,omitempty"`
 	// Size (kernel cells) is the problem size: the matrix dimension for
 	// mm/lu (required), N for cg and G for bt (0 = instance default).
 	Size int `json:"size,omitempty"`
 
-	// Harness (harness cells) names a whole table or study: "table1",
-	// "sync", "span", "partition" or "selective". The figure grids are
-	// stream and kernel cells (studies/fig*.study.json).
-	Harness string `json:"harness,omitempty"`
+	// Variant (kernel cells) names an override of the canonical cell
+	// from experiments' committed table ("rob=64", "wait=halt",
+	// "halt=selective", …); empty is the canonical cell.
+	Variant string `json:"variant,omitempty"`
 
 	// Observe requests per-cell observability artifacts (pipeline trace,
 	// occupancy CSV, metrics JSON); stream and kernel cells only, and
@@ -91,7 +92,7 @@ const (
 )
 
 // CellResult is the outcome of one cell. Exactly one of CPI, Kernel or
-// Text is populated on success, matching the cell type.
+// Profile is populated on success, matching the cell type.
 type CellResult struct {
 	Index int    `json:"index"`
 	Label string `json:"label"`
@@ -102,9 +103,8 @@ type CellResult struct {
 	CPI []float64 `json:"cpi,omitempty"`
 	// Kernel is the monitored-event row of a kernel cell.
 	Kernel *experiments.KernelMetrics `json:"kernel,omitempty"`
-	// Text is the formatted output of a harness cell — byte-identical
-	// to the corresponding CLI invocation.
-	Text string `json:"text,omitempty"`
+	// Profile is the Table 1 column of a profile cell.
+	Profile *experiments.Table1Column `json:"profile,omitempty"`
 
 	// Artifacts lists the observability files of an observed cell,
 	// served under /v1/jobs/{id}/cells/{index}/artifacts/{name}.
@@ -174,10 +174,11 @@ func (c CellSpec) window() uint64 {
 }
 
 // Validate checks everything knowable without running: the type, the
-// name-shaped fields (stream kinds, ILP degrees, kernel and mode names,
-// harness names) and the observe constraints. Semantic constraints that
-// the harness itself enforces — stream counts, matrix sizes — are left
-// to cell execution so one bad cell fails that cell, not the batch.
+// name-shaped fields (stream kinds, ILP degrees, kernel, mode and
+// variant names) and the observe constraints. Semantic constraints that
+// the cell itself enforces — stream counts, matrix sizes, which kernels
+// a variant or Table 1 profiles — are left to cell execution so one bad
+// cell fails that cell, not the batch.
 func (c CellSpec) Validate(allowObserve bool) error {
 	switch c.Type {
 	case TypeStream:
@@ -187,7 +188,7 @@ func (c CellSpec) Validate(allowObserve bool) error {
 		if _, err := c.streamSpecs(); err != nil {
 			return err
 		}
-	case TypeKernel:
+	case TypeKernel, TypeProfile:
 		switch c.Kernel {
 		case "mm", "lu", "cg", "bt":
 		default:
@@ -196,15 +197,14 @@ func (c CellSpec) Validate(allowObserve bool) error {
 		if _, err := parseMode(c.Mode); err != nil {
 			return err
 		}
-	case TypeHarness:
-		if _, ok := harnesses[c.Harness]; !ok {
-			return fmt.Errorf("unknown harness %q", c.Harness)
+		if _, ok := experiments.LookupVariant(c.Variant); c.Type == TypeKernel && c.Variant != "" && !ok {
+			return fmt.Errorf("unknown variant %q", c.Variant)
 		}
-		if c.Observe {
+		if c.Type == TypeProfile && c.Observe {
 			return fmt.Errorf("observe is only supported for stream and kernel cells")
 		}
 	default:
-		return fmt.Errorf("unknown cell type %q (want stream, kernel or harness)", c.Type)
+		return fmt.Errorf("unknown cell type %q (want stream, kernel or profile)", c.Type)
 	}
 	if c.Observe && !allowObserve {
 		return fmt.Errorf("observe requested but the service has no artifact directory")
@@ -226,17 +226,19 @@ func (c CellSpec) Label() string {
 			parts[i] = fmt.Sprintf("%s-%v", s.Kind, ilp)
 		}
 		return fmt.Sprintf("stream:%s@%d", strings.Join(parts, "+"), c.window())
-	case TypeKernel:
+	case TypeKernel, TypeProfile:
 		mode := c.Mode
 		if mode == "" {
 			mode = kernels.Serial.String()
 		}
+		label := fmt.Sprintf("%s:%s/%s", c.Type, c.Kernel, mode)
 		if c.Size > 0 {
-			return fmt.Sprintf("kernel:%s/%s/N=%d", c.Kernel, mode, c.Size)
+			label += fmt.Sprintf("/N=%d", c.Size)
 		}
-		return fmt.Sprintf("kernel:%s/%s", c.Kernel, mode)
-	case TypeHarness:
-		return "harness:" + c.Harness
+		if c.Variant != "" {
+			label += "/" + c.Variant
+		}
+		return label
 	}
 	return "cell:?"
 }

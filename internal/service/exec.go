@@ -14,63 +14,6 @@ import (
 	"smtexplore/internal/streams"
 )
 
-// harnessFunc regenerates one named table or study, returning the exact
-// bytes the corresponding CLI prints (including its trailing blank line,
-// where the CLI emits one).
-type harnessFunc func(ctx context.Context, opt experiments.Options) (string, error)
-
-// harnesses maps harness-cell names onto the whole-study entry points
-// the study engine has no grid vocabulary for. The formatted output is
-// the service's result: byte-identical to `kernels -table 1` and
-// `ablate -study Z`. The paper's Figures 1–5 are not harnesses: they
-// run cell by cell from studies/fig*.study.json.
-var harnesses = map[string]harnessFunc{
-	"table1": func(ctx context.Context, opt experiments.Options) (string, error) {
-		cols, err := experiments.Table1(ctx, opt)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatTable1(cols), nil
-	},
-	"sync": func(ctx context.Context, opt experiments.Options) (string, error) {
-		rows, err := experiments.AblateSync(ctx, opt)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatAblation("Ablation §3.1 — wait primitive of the MM prefetcher", rows) + "\n", nil
-	},
-	"span": func(ctx context.Context, opt experiments.Options) (string, error) {
-		rows, err := experiments.AblateSpan(ctx, opt)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatAblation("Ablation §3.2 — precomputation span of the MM prefetcher", rows) + "\n", nil
-	},
-	"partition": func(ctx context.Context, opt experiments.Options) (string, error) {
-		rows, err := experiments.AblatePartition(ctx, opt)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatAblation("Ablation §5.3 — static partitioning vs fully shared buffers", rows) + "\n", nil
-	},
-	"selective": func(ctx context.Context, opt experiments.Options) (string, error) {
-		r, err := experiments.SelectiveHaltLU(ctx, opt, 64)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatSelectiveHalt(r) + "\n", nil
-	},
-}
-
-// HarnessNames lists the valid harness-cell names (for usage messages).
-func HarnessNames() []string {
-	names := make([]string, 0, len(harnesses))
-	for n := range harnesses {
-		names = append(names, n)
-	}
-	return names
-}
-
 // artifactSuffixes are the files obs.Instruments.Export writes per cell.
 var artifactSuffixes = []string{".trace.json", ".occupancy.csv", ".metrics.json"}
 
@@ -207,20 +150,17 @@ func EvalCell(ctx context.Context, spec CellSpec, opt experiments.Options) (res 
 			res.CPI, err = opt.StreamCell(experiments.StreamMachineConfig(), specs, spec.window())
 		}
 	case TypeKernel:
-		var mode = kernelMode(spec.Mode)
 		var km experiments.KernelMetrics
-		km, err = experiments.NamedKernelCell(opt, spec.Kernel, spec.Size, mode)
+		km, err = experiments.VariantKernelCell(opt, spec.Kernel, spec.Size, kernelMode(spec.Mode), spec.Variant)
 		if err == nil {
-			innerLabel = km.Label
+			innerLabel = experiments.KernelCellLabel(km.Label, spec.Variant)
 			res.Kernel = &km
 		}
-	case TypeHarness:
-		h, ok := harnesses[spec.Harness]
-		if !ok {
-			err = fmt.Errorf("unknown harness %q", spec.Harness)
-			break
+	case TypeProfile:
+		var col experiments.Table1Column
+		if col, err = experiments.ProfileCell(opt, spec.Kernel, kernelMode(spec.Mode)); err == nil {
+			res.Profile = &col
 		}
-		res.Text, err = h(ctx, opt)
 	default:
 		err = fmt.Errorf("unknown cell type %q", spec.Type)
 	}

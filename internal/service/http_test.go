@@ -405,43 +405,3 @@ func TestHTTPObservedCellArtifacts(t *testing.T) {
 		t.Errorf("unlisted artifact: status %d, want 404", aresp.StatusCode)
 	}
 }
-
-func TestHTTPCellResultTextFormat(t *testing.T) {
-	s := stubService(Config{}, func(_ context.Context, spec CellSpec, _ string) CellResult {
-		if spec.Type == TypeHarness {
-			return CellResult{Label: spec.Label(), State: CellDone, Text: "the figure\n"}
-		}
-		return CellResult{Label: spec.Label(), State: CellFailed, Error: "boom"}
-	})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	st := decodeBody[JobStatus](t, postJSON(t, srv.URL+"/v1/jobs", SubmitRequest{
-		Cells: []CellSpec{{Type: TypeHarness, Harness: "table1"}, validSpec()},
-	}))
-	j, _ := s.Job(st.ID)
-	waitDone(t, j)
-
-	resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/cells/0/result?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(body) != "the figure\n" {
-		t.Fatalf("text result: %d %q", resp.StatusCode, body)
-	}
-
-	// A failed cell's text view is a 409 carrying the error, not a 200
-	// with empty output.
-	resp, err = http.Get(srv.URL + "/v1/jobs/" + st.ID + "/cells/1/result?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "boom") {
-		t.Fatalf("failed cell text: %d %q, want 409 with the error", resp.StatusCode, body)
-	}
-}

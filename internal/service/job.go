@@ -164,7 +164,7 @@ func (j *Job) terminalLocked() bool {
 }
 
 // requestStop asks the job's cells to yield at their next checkpoint;
-// the first reason wins. Cells without pause points (streams, harness
+// the first reason wins. Cells without pause points (streams, profile
 // cells, checkpointing disabled) ignore it and run to completion.
 func (j *Job) requestStop(reason string) {
 	j.mu.Lock()

@@ -67,7 +67,7 @@ func (e *unavailableError) Is(target error) bool { return target == ErrUnavailab
 //	DELETE /v1/jobs/{id}                      cancel
 //	GET    /v1/jobs/{id}/events               SSE progress stream
 //	GET    /v1/jobs/{id}/result               full results (terminal jobs)
-//	GET    /v1/jobs/{id}/cells/{cell}/result  one cell's result (?format=text)
+//	GET    /v1/jobs/{id}/cells/{cell}/result  one cell's result
 func RegisterJobRoutes(mux *http.ServeMux, api JobAPI) {
 	h := jobRoutes{api}
 	mux.HandleFunc("POST /v1/jobs", h.submit)
@@ -238,19 +238,6 @@ func (h jobRoutes) cellResult(w http.ResponseWriter, r *http.Request) {
 	case CellDone, CellFailed, CellCancelled:
 	default:
 		WriteError(w, http.StatusConflict, fmt.Sprintf("cell %d is %s", res.Index, res.State))
-		return
-	}
-	if r.URL.Query().Get("format") == "text" {
-		if res.State != CellDone {
-			WriteError(w, http.StatusConflict, fmt.Sprintf("cell %d %s: %s", res.Index, res.State, res.Error))
-			return
-		}
-		if res.Text == "" {
-			WriteError(w, http.StatusBadRequest, "text format is only available for harness cells")
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, res.Text)
 		return
 	}
 	WriteJSON(w, http.StatusOK, res)

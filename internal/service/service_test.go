@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,10 +79,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"no streams", []CellSpec{{Type: TypeStream}}, "at least one stream"},
 		{"unknown kernel", []CellSpec{{Type: TypeKernel, Kernel: "fft"}}, "unknown kernel"},
 		{"unknown mode", []CellSpec{{Type: TypeKernel, Kernel: "mm", Mode: "warp"}}, "unknown mode"},
-		{"unknown harness", []CellSpec{{Type: TypeHarness, Harness: "fig9"}}, "unknown harness"},
-		// The figure grids are stream/kernel cells of the committed
-		// studies, not harness cells.
-		{"removed figure harness", []CellSpec{{Type: TypeHarness, Harness: "fig1"}}, "unknown harness"},
+		// Whole tables are grids of kernel and profile cells of the
+		// committed studies; the harness cell kind is gone.
+		{"unknown harness", []CellSpec{{Type: "harness"}}, "unknown cell type"},
+		{"unknown variant", []CellSpec{{Type: TypeKernel, Kernel: "mm", Size: 64, Variant: "fig1"}}, "unknown variant"},
+		{"observe profile", []CellSpec{{Type: TypeProfile, Kernel: "mm", Observe: true}}, "only supported for stream and kernel"},
 		{"observe without dir", []CellSpec{{Type: TypeStream, Streams: []StreamSpec{{Kind: "fadd"}}, Observe: true}}, "no artifact directory"},
 	}
 	for _, tc := range cases {
@@ -392,15 +395,19 @@ func TestEventStreamOrder(t *testing.T) {
 	}
 }
 
-// The harness cell's text must be byte-identical to what the ablate CLI
-// prints for the same study, since that is the service's contract.
-func TestHarnessCellMatchesCLI(t *testing.T) {
+// The selective-halting study's two cells, served by the daemon, must
+// render byte-identically to what the ablate CLI prints, since that is
+// the service's contract.
+func TestSelectiveCellsMatchCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real LU ablation; skipped in -short")
 	}
 	s := New(Config{})
 	defer s.Close()
-	j, err := s.Submit([]CellSpec{{Type: TypeHarness, Harness: "selective"}})
+	j, err := s.Submit([]CellSpec{
+		{Type: TypeKernel, Kernel: "lu", Size: 64, Mode: "tlp-coarse"},
+		{Type: TypeKernel, Kernel: "lu", Size: 64, Mode: "tlp-coarse", Variant: "halt=selective"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,15 +415,43 @@ func TestHarnessCellMatchesCLI(t *testing.T) {
 	if state, msg := j.State(); state != JobDone {
 		t.Fatalf("job %s: %s", state, msg)
 	}
-	got := j.Results()[0].Text
-
-	r, err := experiments.SelectiveHaltLU(context.Background(), experiments.Options{}, 64)
+	res := j.Results()
+	got := experiments.FormatSelectiveHalt(experiments.SelectiveHaltResult{Baseline: *res[0].Kernel, Planned: *res[1].Kernel}) + "\n"
+	want, err := os.ReadFile("../../cmd/ablate/testdata/selective.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := experiments.FormatSelectiveHalt(r) + "\n"
-	if got != want {
-		t.Errorf("harness text differs from CLI output:\ngot:\n%s\nwant:\n%s", got, want)
+	if got != string(want) {
+		t.Errorf("served cells render differently from the CLI:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// Two variants of one kernel cell are two cells: distinct labels (the
+// status display and the cluster's routing key) and distinct observe
+// artifacts.
+func TestVariantCellsAreDistinct(t *testing.T) {
+	dir := t.TempDir()
+	opt := experiments.Options{Observe: &experiments.Observe{Dir: dir}}
+	seenLabel, seenArtifact := map[string]bool{}, map[string]bool{}
+	for _, v := range []string{"", "rob=64", "rob=256"} {
+		spec := CellSpec{Type: TypeKernel, Kernel: "mm", Size: 16, Variant: v, Observe: true}
+		if seenLabel[spec.Label()] {
+			t.Errorf("variant %q repeats label %q", v, spec.Label())
+		}
+		seenLabel[spec.Label()] = true
+		res := EvalCell(context.Background(), spec, opt)
+		if res.State != CellDone || len(res.Artifacts) == 0 {
+			t.Fatalf("variant %q: %s %s, artifacts %v", v, res.State, res.Error, res.Artifacts)
+		}
+		for _, a := range res.Artifacts {
+			if seenArtifact[a] {
+				t.Errorf("variant %q repeats artifact %s", v, a)
+			}
+			seenArtifact[a] = true
+			if _, err := os.Stat(filepath.Join(dir, a)); err != nil {
+				t.Errorf("variant %q: %v", v, err)
+			}
+		}
 	}
 }
 

@@ -139,11 +139,10 @@ func (m *tenantMeter) Simulated() {
 
 // cellCycles estimates the simulated-cycle cost of one completed cell
 // for cycle-budget accounting: kernels report their exact cycle count,
-// stream cells cost their measurement window, and harness cells are
-// not charged (they are composites the budget cannot attribute —
-// deliberately coarse, like the budget itself). The charge is the
-// cell's compute footprint whether or not a cache tier served it: the
-// budget is an admission-rate control, not a CPU meter.
+// stream cells cost their measurement window, and profile cells are not
+// charged (deliberately coarse, like the budget itself). The charge is
+// the cell's compute footprint whether or not a cache tier served it:
+// the budget is an admission-rate control, not a CPU meter.
 func cellCycles(spec CellSpec, res CellResult) uint64 {
 	if res.Kernel != nil {
 		return res.Kernel.Cycles

@@ -6,7 +6,7 @@
 // simulation), so only cold cells are charged against the study's cycle
 // and cell budgets. Costs are the plan's per-cell estimates — exact for
 // stream cells (a measurement runs its window and stops), coarse for
-// kernel and harness cells — and over-budget cells are skipped with a
+// kernel and profile cells — and over-budget cells are skipped with a
 // recorded reason so the synthesized report can list them in its
 // limitations appendix instead of failing silently.
 package budget

@@ -7,36 +7,32 @@
 // a study deduplicates in three directions at once: within itself (the
 // fig2 diagonal reuses fig1 duos), against previous studies sharing a
 // store, and against the CLI tools and daemon fleet writing to the same
-// store. Harness cells have no single-unit key — their inner cells are
-// the keyed units — so they compile with an empty Key and a coarse cost
-// estimate.
+// store. A kernel variant that changes nothing (an ablation's default
+// row, the sensitivity baseline) compiles to the canonical cell.
 package compile
 
 import (
 	"fmt"
 
 	"smtexplore/internal/experiments"
+	"smtexplore/internal/kernels"
 	"smtexplore/internal/service"
 	"smtexplore/internal/streams"
 	"smtexplore/internal/study/spec"
 )
 
-// Cost estimates for admission, in simulated cycles per cold cell.
-// Stream cells are exact (a measurement runs its window and stops);
-// kernel and harness cells run to completion, so these are deliberately
-// coarse upper-end guesses a sweep can override with CellCost.
-const (
-	// DefaultKernelCost approximates one kernel cell (mm/lu N≤128, the
-	// cg/bt defaults all finish well inside this).
-	DefaultKernelCost = 2_000_000
-	// DefaultHarnessCost approximates one whole-table harness cell.
-	DefaultHarnessCost = 10_000_000
-)
+// DefaultKernelCost is the admission estimate, in simulated cycles, of
+// one cold kernel or profile cell (mm/lu N≤128, the cg/bt defaults and
+// the Table 1 instances all finish well inside it). Stream cells are
+// exact (a measurement runs its window and stops); kernel cells run to
+// completion, so this is a deliberately coarse upper-end guess a sweep
+// can override with CellCost.
+const DefaultKernelCost = 2_000_000
 
 // CellNode is one simulation unit of the plan.
 type CellNode struct {
 	// Key is the content key shared with the runner cache and the disk
-	// store; empty for harness cells (their inner cells carry the keys).
+	// store.
 	Key string
 	// Spec is the service-shaped cell, executable by any backend.
 	Spec service.CellSpec
@@ -47,7 +43,8 @@ type CellNode struct {
 
 // TableNode maps one sweep's table roles onto plan cell indices. Roles
 // are synthesis-internal names ("fadd|min|2", "solo|iadd|max",
-// "64|tlp-fine", "text|fig1") the synth package reconstructs rows from.
+// "64|tlp-fine", "64|tlp-pfetch|wait=halt", "mm|serial") the synth
+// package reconstructs rows from.
 type TableNode struct {
 	Sweep spec.Sweep
 	Cells map[string]int
@@ -60,7 +57,8 @@ type Plan struct {
 	Cells  []CellNode
 	Tables []TableNode
 	// Requested counts grid points before deduplication (the fig2
-	// diagonal re-requesting fig1 duos, repeated harnesses, …);
+	// diagonal re-requesting fig1 duos, an ablation's default row
+	// re-requesting a figure cell, …);
 	// Requested - len(Cells) is the work dedupe saved.
 	Requested int
 }
@@ -93,8 +91,8 @@ func (b *builder) add(dedupe string, node CellNode) int {
 }
 
 // Compile lowers the spec. The spec must already be valid (Parse
-// validates); compile re-checks only what it alone can know — harness
-// names against the service registry and kernel mode support.
+// validates); compile re-checks only what it alone can know — variant
+// names against experiments' table and kernel mode support.
 func Compile(s *spec.Spec) (*Plan, error) {
 	b := &builder{plan: &Plan{Spec: s}, index: map[string]int{}}
 	for _, sw := range s.Sweeps {
@@ -107,12 +105,10 @@ func Compile(s *spec.Spec) (*Plan, error) {
 			table, err = compileFig1(b, sw)
 		case spec.TableFig2:
 			table, err = compileFig2(b, sw)
-		case spec.TableKernel:
-			table, err = compileKernel(b, sw)
-		case spec.TableText:
-			table, err = compileText(b, sw)
+		case spec.TableTable1:
+			table, err = compileProfile(b, sw)
 		default:
-			err = fmt.Errorf("unknown table style %q", sw.EffectiveTable())
+			table, err = compileKernel(b, sw)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("compile: sweep %q: %w", sw.Name, err)
@@ -240,68 +236,105 @@ func compileFig2(b *builder, sw spec.Sweep) (TableNode, error) {
 	return t, nil
 }
 
-// compileKernel compiles one kernel's size×mode grid in the figure
-// sweeps' enumeration order (sizes outer, the kernel's own mode order
-// inner when the spec does not pin modes).
-func compileKernel(b *builder, sw spec.Sweep) (TableNode, error) {
-	t := TableNode{Sweep: sw, Cells: map[string]int{}}
+// KernelPoint is one cell of a kernel sweep's grid.
+type KernelPoint struct {
+	Size    int
+	Variant string
+	Mode    kernels.Mode
+}
+
+// Role names the point in its TableNode.
+func (p KernelPoint) Role() string {
+	if p.Variant == "" {
+		return fmt.Sprintf("%d|%s", p.Size, p.Mode)
+	}
+	return fmt.Sprintf("%d|%s|%s", p.Size, p.Mode, p.Variant)
+}
+
+// KernelGrid enumerates a kernel sweep in the figure and table order:
+// sizes outer, then variants, then modes (the kernel's own mode order
+// when the spec does not pin modes).
+func KernelGrid(sw spec.Sweep) ([]KernelPoint, error) {
 	kernel := sw.Kernels[0]
 	sizes := sw.Sizes
 	if len(sizes) == 0 {
 		sizes = []int{0} // cg/bt instance default (mm/lu rejected by Validate)
 	}
+	variants := sw.Variants
+	if len(variants) == 0 {
+		variants = []string{""}
+	}
+	var out []KernelPoint
 	for _, size := range sizes {
-		modeNames := sw.Modes
-		if len(modeNames) == 0 {
-			modes, err := experiments.KernelModes(kernel, size)
-			if err != nil {
-				return t, err
-			}
-			modeNames = make([]string, len(modes))
-			for i, m := range modes {
-				modeNames[i] = m.String()
+		var modes []kernels.Mode
+		if len(sw.Modes) == 0 {
+			var err error
+			if modes, err = experiments.KernelModes(kernel, size); err != nil {
+				return nil, err
 			}
 		}
-		for _, modeName := range modeNames {
-			mode, err := spec.ParseMode(modeName)
+		for _, name := range sw.Modes {
+			mode, err := spec.ParseMode(name)
 			if err != nil {
-				return t, err
+				return nil, err
 			}
-			key, err := experiments.KernelCellKey(kernel, size, mode)
-			if err != nil {
-				return t, err
-			}
-			idx := b.add(key, CellNode{
-				Key: key,
-				Spec: service.CellSpec{
-					Type: service.TypeKernel, Kernel: kernel,
-					Mode: mode.String(), Size: size,
-				},
-				Cost: cost(sw, DefaultKernelCost),
-			})
-			t.Cells[fmt.Sprintf("%d|%s", size, mode)] = idx
+			modes = append(modes, mode)
 		}
+		for _, v := range variants {
+			for _, mode := range modes {
+				out = append(out, KernelPoint{Size: size, Variant: v, Mode: mode})
+			}
+		}
+	}
+	return out, nil
+}
+
+// compileKernel compiles one kernel's grid. Each point carries the key
+// of its overridden configuration, so a variant that changes nothing
+// dedupes onto the canonical cell.
+func compileKernel(b *builder, sw spec.Sweep) (TableNode, error) {
+	t := TableNode{Sweep: sw, Cells: map[string]int{}}
+	points, err := KernelGrid(sw)
+	if err != nil {
+		return t, err
+	}
+	kernel := sw.Kernels[0]
+	for _, p := range points {
+		key, err := experiments.VariantCellKey(kernel, p.Size, p.Mode, p.Variant)
+		if err != nil {
+			return t, err
+		}
+		t.Cells[p.Role()] = b.add(key, CellNode{
+			Key: key,
+			Spec: service.CellSpec{
+				Type: service.TypeKernel, Kernel: kernel,
+				Mode: p.Mode.String(), Size: p.Size, Variant: p.Variant,
+			},
+			Cost: cost(sw, DefaultKernelCost),
+		})
 	}
 	return t, nil
 }
 
-// compileText compiles whole-harness cells, validated against the
-// service's harness registry.
-func compileText(b *builder, sw spec.Sweep) (TableNode, error) {
+// compileProfile compiles a Table 1 grid: kernels outer, modes inner.
+func compileProfile(b *builder, sw spec.Sweep) (TableNode, error) {
 	t := TableNode{Sweep: sw, Cells: map[string]int{}}
-	valid := map[string]bool{}
-	for _, n := range service.HarnessNames() {
-		valid[n] = true
-	}
-	for _, h := range sw.Harnesses {
-		if !valid[h] {
-			return t, fmt.Errorf("unknown harness %q", h)
+	for _, kernel := range sw.Kernels {
+		for _, name := range sw.Modes {
+			mode, err := spec.ParseMode(name)
+			if err != nil {
+				return t, err
+			}
+			key, err := experiments.ProfileCellKey(kernel, mode)
+			if err != nil {
+				return t, err
+			}
+			t.Cells[kernel+"|"+mode.String()] = b.add(key, CellNode{
+				Key:  key,
+				Spec: service.CellSpec{Type: service.TypeProfile, Kernel: kernel, Mode: mode.String()},
+				Cost: cost(sw, DefaultKernelCost),
+			})
 		}
-		idx := b.add("harness|"+h, CellNode{
-			Spec: service.CellSpec{Type: service.TypeHarness, Harness: h},
-			Cost: cost(sw, DefaultHarnessCost),
-		})
-		t.Cells["text|"+h] = idx
 	}
 	return t, nil
 }

@@ -110,25 +110,43 @@ func TestCompileKernelDefaultModes(t *testing.T) {
 	}
 }
 
-func TestCompileHarness(t *testing.T) {
-	s := mustParse(t, `{"name":"h","sweeps":[
-		{"name":"a","kind":"harness","harnesses":["table1","sync"]},
-		{"name":"b","kind":"harness","harnesses":["table1"]}]}`)
+func TestCompileVariants(t *testing.T) {
+	s := mustParse(t, `{"name":"v","sweeps":[
+		{"name":"a","kind":"kernel","table":"ablation","kernels":["mm"],"sizes":[32],"modes":["tlp-pfetch"],
+		 "variants":["wait=spin","wait=spin+pause","wait=halt"]},
+		{"name":"b","kind":"kernel","kernels":["mm"],"sizes":[32],"modes":["tlp-pfetch"]},
+		{"name":"t","kind":"profile","kernels":["mm","lu"],"modes":["serial","tlp-pfetch"]}]}`)
 	p, err := Compile(s)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if len(p.Cells) != 2 || p.Requested != 3 {
-		t.Errorf("cells = %d requested = %d, want 2/3 (table1 deduped)", len(p.Cells), p.Requested)
+	// spin+pause is the canonical cell: 3 variants + 1 figure cell + 4
+	// profile cells request 8, and 7 are unique.
+	if len(p.Cells) != 7 || p.Requested != 8 {
+		t.Errorf("cells = %d requested = %d, want 7/8 (spin+pause deduped)", len(p.Cells), p.Requested)
 	}
-	if p.Cells[0].Key != "" {
-		t.Errorf("harness cells must not claim a store key")
+	if p.Tables[0].Cells["32|tlp-pfetch|wait=spin+pause"] != p.Tables[1].Cells["32|tlp-pfetch"] {
+		t.Error("the no-op variant did not dedupe onto the canonical cell")
 	}
-	if _, err := Compile(mustParse(t, `{"name":"h","sweeps":[{"name":"a","kind":"harness","harnesses":["fig9"]}]}`)); err == nil {
-		t.Errorf("unknown harness accepted")
+	for _, c := range p.Cells {
+		if c.Key == "" {
+			t.Errorf("cell %s has no store key", c.Spec.Label())
+		}
 	}
-	// The figure grids are stream/kernel sweeps, not harnesses.
-	if _, err := Compile(mustParse(t, `{"name":"h","sweeps":[{"name":"a","kind":"harness","harnesses":["fig1"]}]}`)); err == nil {
-		t.Errorf("removed fig1 harness accepted")
+	if got := p.Cells[p.Tables[2].Cells["lu|tlp-pfetch"]].Spec; got.Type != service.TypeProfile || got.Kernel != "lu" {
+		t.Errorf("profile role maps to %+v", got)
+	}
+	for _, bad := range []string{
+		`{"name":"h","sweeps":[{"name":"a","kind":"kernel","table":"ablation","kernels":["mm"],"sizes":[32],"variants":["fig9"]}]}`,
+		`{"name":"h","sweeps":[{"name":"a","kind":"kernel","table":"ablation","kernels":["lu"],"sizes":[32],"variants":["wait=halt"]}]}`,
+		`{"name":"h","sweeps":[{"name":"a","kind":"profile","kernels":["mm"],"modes":["tlp-fine"]}]}`,
+	} {
+		if _, err := Compile(mustParse(t, bad)); err == nil {
+			t.Errorf("accepted %s", bad)
+		}
+	}
+	// Whole tables are variant and profile grids; the harness kind is gone.
+	if _, err := spec.Parse([]byte(`{"name":"h","sweeps":[{"name":"a","kind":"harness"}]}`)); err == nil {
+		t.Errorf("harness sweep accepted")
 	}
 }

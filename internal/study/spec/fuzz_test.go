@@ -11,7 +11,7 @@ import (
 // idempotence the study engine's idempotency keys rest on).
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(validJSON))
-	f.Add([]byte(`{"name":"t1","sweeps":[{"name":"t","kind":"harness","harnesses":["table1"]}]}`))
+	f.Add([]byte(`{"name":"t1","sweeps":[{"name":"t","kind":"profile","kernels":["mm","bt"],"modes":["serial","tlp-pfetch"]}]}`))
 	f.Add([]byte(`{"name":"k","budget":{"cycles":10000000,"cells":5},"deadline":"5m","priority":3,` +
 		`"sweeps":[{"name":"mm","kind":"kernel","kernels":["mm"],"sizes":[32,64],"modes":["serial","tlp-fine"]}]}`))
 	f.Add([]byte(`{"name":"f2","sweeps":[{"name":"m","kind":"stream","table":"fig2",` +
@@ -46,7 +46,7 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		for _, sw := range s.Sweeps {
 			switch sw.EffectiveTable() {
-			case TableFig1, TableFig2, TableKernel, TableText:
+			case TableFig1, TableFig2, TableKernel, TableAblation, TableSelective, TableSensitivity, TableTable1:
 			default:
 				t.Fatalf("valid spec with unknown effective table %q", sw.EffectiveTable())
 			}

@@ -1,7 +1,8 @@
 // Package spec parses and validates declarative study specifications.
 //
-// A study spec names a set of sweeps — stream grids, kernel grids or
-// whole named harnesses — plus scheduling hints (priority, deadline)
+// A study spec names a set of sweeps — stream grids, kernel grids (of
+// canonical cells or their named variants) or Table 1 profiling grids —
+// plus scheduling hints (priority, deadline)
 // and an admission budget. It is deliberately a plain data shape: the
 // compile package lowers it into content-keyed cells, so everything
 // here is checkable without running a single simulation.
@@ -29,7 +30,7 @@ import (
 const (
 	KindStream  = "stream"
 	KindKernel  = "kernel"
-	KindHarness = "harness"
+	KindProfile = "profile"
 )
 
 // Table styles. Each sweep synthesizes one result table; the style
@@ -44,9 +45,19 @@ const (
 	// TableKernel renders the four-panel kernel figure, byte-identical
 	// to `kernels -bench` for the paper's sweeps.
 	TableKernel = "kernel"
-	// TableText passes harness-cell output through verbatim (already
-	// byte-identical to the corresponding CLI by construction).
-	TableText = "text"
+	// TableAblation renders one row per variant (× mode), as `ablate
+	// -study sync|span|partition` prints it.
+	TableAblation = "ablation"
+	// TableSelective renders the selective-halting study from its two
+	// cells, the canonical one and its halt=selective variant, as
+	// `ablate -study selective` prints it.
+	TableSelective = "selective"
+	// TableSensitivity renders one row per variant with its delta to the
+	// first, as `sensitivity` prints it.
+	TableSensitivity = "sensitivity"
+	// TableTable1 renders the instruction-mix columns of a profile
+	// sweep, as `kernels -table 1` prints it.
+	TableTable1 = "table1"
 )
 
 // Budget bounds what a study may simulate. Zero values mean unlimited.
@@ -64,12 +75,13 @@ type Budget struct {
 type Sweep struct {
 	// Name identifies the sweep (and its table file) within the study.
 	Name string `json:"name"`
-	// Kind is "stream", "kernel" or "harness".
+	// Kind is "stream", "kernel" or "profile".
 	Kind string `json:"kind"`
 	// Table picks the synthesis style; empty means the kind's default
-	// (stream→fig1, kernel→kernel, harness→text).
+	// (stream→fig1, kernel→kernel, profile→table1).
 	Table string `json:"table,omitempty"`
-	// Title overrides the table heading for fig2/kernel tables.
+	// Title overrides the table heading for fig2, kernel, ablation and
+	// sensitivity tables.
 	Title string `json:"title,omitempty"`
 
 	// Streams (stream sweeps) are the swept stream kinds; for fig2
@@ -87,23 +99,27 @@ type Sweep struct {
 	// Window is the measurement window in cycles (0 = harness default).
 	Window uint64 `json:"window,omitempty"`
 
-	// Kernels (kernel sweeps) names the kernel; kernel tables sweep
-	// exactly one kernel (the vs-serial column is per-kernel).
+	// Kernels names the kernel of a kernel sweep (exactly one: the
+	// vs-serial column is per-kernel) or the profiled kernels of a
+	// profile sweep.
 	Kernels []string `json:"kernels,omitempty"`
 	// Modes lists the swept execution modes; empty means every mode the
-	// kernel implements.
+	// kernel implements (kernel sweeps only).
 	Modes []string `json:"modes,omitempty"`
 	// Sizes lists the swept problem sizes (mm/lu require > 0; 0 keeps
 	// the cg/bt instance default).
 	Sizes []int `json:"sizes,omitempty"`
 
-	// Harnesses (harness sweeps) names whole figures/tables to
-	// regenerate ("fig1", "table1", …).
-	Harnesses []string `json:"harnesses,omitempty"`
+	// Variants (kernel sweeps) names overrides of the canonical cell
+	// from experiments' committed table ("rob=64", "wait=halt", …; ""
+	// is the canonical cell), swept between sizes and modes. Kernel
+	// tables take none; the selective table takes "" and
+	// "halt=selective".
+	Variants []string `json:"variants,omitempty"`
 
 	// CellCost overrides the budget's per-cold-cell cycle estimate for
 	// this sweep (stream cells default to their window; kernel and
-	// harness cells to coarse built-in estimates).
+	// profile cells to a coarse built-in estimate).
 	CellCost uint64 `json:"cellCost,omitempty"`
 }
 
@@ -286,7 +302,7 @@ func (sw Sweep) EffectiveTable() string {
 	case KindKernel:
 		return TableKernel
 	}
-	return TableText
+	return TableTable1
 }
 
 // EffectiveILP is the sweep's ILP list with the default (all three, in
@@ -317,8 +333,8 @@ func (sw Sweep) EffectivePartners() []string {
 
 // Validate checks everything knowable without running: slugs, kind and
 // table names, stream/ILP/kernel/mode spellings, thread counts and the
-// deadline duration. Harness names are validated by the compile step
-// (which owns the service dependency).
+// deadline duration. Variant names are validated by the compile step
+// (which owns the experiments dependency).
 func (s *Spec) Validate() error {
 	if !slugOK(s.Name) {
 		return fmt.Errorf("spec: name %q must be a non-empty lowercase slug (a-z, 0-9, -, _)", s.Name)
@@ -381,8 +397,19 @@ func (sw Sweep) validate() error {
 			}
 		}
 	case KindKernel:
-		if table != TableKernel {
-			return fmt.Errorf("kernel sweeps take table %q, not %q", TableKernel, table)
+		switch table {
+		case TableKernel:
+			if len(sw.Variants) > 0 {
+				return fmt.Errorf("kernel tables take no variants (the vs-serial column would mix them)")
+			}
+		case TableSelective:
+			if len(sw.Sizes) != 1 || len(sw.Modes) != 1 || len(sw.Variants) != 2 || sw.Variants[0] != "" || sw.Variants[1] != "halt=selective" {
+				return fmt.Errorf("selective tables take one size, one mode and variants [\"\", \"halt=selective\"]")
+			}
+		case TableAblation, TableSensitivity:
+		default:
+			return fmt.Errorf("kernel sweeps take table %q, %q, %q or %q, not %q",
+				TableKernel, TableAblation, TableSelective, TableSensitivity, table)
 		}
 		if len(sw.Kernels) != 1 {
 			return fmt.Errorf("kernel sweeps take exactly one kernel (the vs-serial baseline is per-kernel); split into one sweep per kernel")
@@ -410,15 +437,27 @@ func (sw Sweep) validate() error {
 				return fmt.Errorf("%s needs sizes > 0", k)
 			}
 		}
-	case KindHarness:
-		if table != TableText {
-			return fmt.Errorf("harness sweeps take table %q, not %q", TableText, table)
+	case KindProfile:
+		if table != TableTable1 {
+			return fmt.Errorf("profile sweeps take table %q, not %q", TableTable1, table)
 		}
-		if len(sw.Harnesses) == 0 {
-			return fmt.Errorf("at least one harness name is required")
+		if len(sw.Kernels) == 0 || len(sw.Modes) == 0 {
+			return fmt.Errorf("profile sweeps need kernels and modes")
+		}
+		for _, k := range sw.Kernels {
+			switch k {
+			case "mm", "lu", "cg", "bt":
+			default:
+				return fmt.Errorf("unknown kernel %q (want mm, lu, cg or bt)", k)
+			}
+		}
+		for _, name := range sw.Modes {
+			if _, err := ParseMode(name); err != nil {
+				return err
+			}
 		}
 	default:
-		return fmt.Errorf("unknown kind %q (want stream, kernel or harness)", sw.Kind)
+		return fmt.Errorf("unknown kind %q (want stream, kernel or profile)", sw.Kind)
 	}
 	return nil
 }

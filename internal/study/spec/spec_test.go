@@ -56,9 +56,9 @@ func TestParseRejects(t *testing.T) {
 		"empty":            ``,
 		"no fence":         "# title\n\nno json here\n",
 		"unterminated":     "```json\n{\"name\":\"x\"}\n",
-		"bad name":         `{"name": "Has Spaces", "sweeps": [{"name":"s","kind":"harness","harnesses":["fig1"]}]}`,
+		"bad name":         `{"name": "Has Spaces", "sweeps": [{"name":"s","kind":"stream","streams":["fadd"]}]}`,
 		"no sweeps":        `{"name": "x", "sweeps": []}`,
-		"dup sweep":        `{"name":"x","sweeps":[{"name":"a","kind":"harness","harnesses":["fig1"]},{"name":"a","kind":"harness","harnesses":["fig1"]}]}`,
+		"dup sweep":        `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["fadd"]},{"name":"a","kind":"stream","streams":["fadd"]}]}`,
 		"bad kind":         `{"name":"x","sweeps":[{"name":"a","kind":"quantum"}]}`,
 		"bad stream":       `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["warp"]}]}`,
 		"bad ilp":          `{"name":"x","sweeps":[{"name":"a","kind":"stream","streams":["fadd"],"ilp":["ultra"]}]}`,
@@ -67,8 +67,13 @@ func TestParseRejects(t *testing.T) {
 		"two kernels":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm","lu"],"sizes":[32]}]}`,
 		"mm no sizes":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm"]}]}`,
 		"bad mode":         `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["cg"],"modes":["warp-speed"]}]}`,
-		"bad deadline":     `{"name":"x","deadline":"soon","sweeps":[{"name":"a","kind":"harness","harnesses":["fig1"]}]}`,
-		"unknown field":    `{"name":"x","cycles":5,"sweeps":[{"name":"a","kind":"harness","harnesses":["fig1"]}]}`,
+		"harness kind":     `{"name":"x","sweeps":[{"name":"a","kind":"harness"}]}`,
+		"kernel variants":  `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm"],"sizes":[32],"variants":["rob=64"]}]}`,
+		"selective shape":  `{"name":"x","sweeps":[{"name":"a","kind":"kernel","table":"selective","kernels":["lu"],"sizes":[32],"modes":["tlp-coarse"],"variants":["halt=selective"]}]}`,
+		"profile no modes": `{"name":"x","sweeps":[{"name":"a","kind":"profile","kernels":["mm"]}]}`,
+		"profile table":    `{"name":"x","sweeps":[{"name":"a","kind":"profile","table":"kernel","kernels":["mm"],"modes":["serial"]}]}`,
+		"bad deadline":     `{"name":"x","deadline":"soon","sweeps":[{"name":"a","kind":"stream","streams":["fadd"]}]}`,
+		"unknown field":    `{"name":"x","cycles":5,"sweeps":[{"name":"a","kind":"stream","streams":["fadd"]}]}`,
 		"trailing garbage": validJSON + `{"again": true}`,
 	}
 	for label, in := range cases {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"smtexplore/internal/cluster"
-	"smtexplore/internal/experiments"
 	"smtexplore/internal/runner"
 	"smtexplore/internal/service"
 	"smtexplore/internal/store"
@@ -125,7 +124,8 @@ func TestFig1SpecParityAndWarmReuse(t *testing.T) {
 }
 
 // TestTable1SpecParity proves the committed Markdown spec regenerates
-// Table 1 byte-identically to `kernels -table 1`.
+// Table 1 byte-identically to `kernels -table 1` (its golden file), and
+// that a re-run over the same store simulates nothing.
 func TestTable1SpecParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 1 runs twelve kernel cells")
@@ -138,14 +138,20 @@ func TestTable1SpecParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	cols, err := experiments.Table1(ctx, experiments.Options{Cache: runner.NewCache().WithTier(st)})
+	want, err := os.ReadFile(filepath.Join("..", "..", "cmd", "kernels", "testdata", "table1.golden"))
 	if err != nil {
-		t.Fatalf("legacy table1: %v", err)
+		t.Fatal(err)
 	}
-	legacy := experiments.FormatTable1(cols)
-	if res.Tables[0].Text != legacy {
-		t.Fatalf("study table1 is not byte-identical to the legacy harness:\n--- study ---\n%s--- legacy ---\n%s",
-			res.Tables[0].Text, legacy)
+	if res.Tables[0].Text != string(want) {
+		t.Fatalf("study table1 is not byte-identical to `kernels -table 1`:\n--- study ---\n%s--- golden ---\n%s",
+			res.Tables[0].Text, want)
+	}
+	warm, err := Run(ctx, s, RunConfig{Backend: execute.NewLocal(st)})
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	if warm.Summary.Simulated != 0 || warm.Tables[0].Text != string(want) {
+		t.Errorf("warm re-run simulated %d cells (want 0)", warm.Summary.Simulated)
 	}
 	if s.Title == "" || !strings.HasPrefix(s.Title, "Table 1") {
 		t.Errorf("markdown title not picked up: %q", s.Title)

@@ -57,8 +57,23 @@ func Tables(p *compile.Plan, results []service.CellResult) ([]Table, error) {
 			text, err = fig2Table(t, results)
 		case spec.TableKernel:
 			text, err = kernelTable(t, results)
-		case spec.TableText:
-			text = textTable(t, results)
+		case spec.TableAblation:
+			var rows []experiments.AblationRow
+			if rows, err = ablationRows(t, results); err == nil {
+				text = experiments.FormatAblation(title(t.Sweep, "Ablation — "+t.Sweep.Name), rows) + "\n"
+			}
+		case spec.TableSelective:
+			var r experiments.SelectiveHaltResult
+			if r, err = selectiveResult(t, results); err == nil {
+				text = experiments.FormatSelectiveHalt(r) + "\n"
+			}
+		case spec.TableSensitivity:
+			text, err = sensitivityTable(t, results)
+		case spec.TableTable1:
+			var cols []experiments.Table1Column
+			if cols, err = table1Columns(t, results); err == nil {
+				text = experiments.FormatTable1(cols)
+			}
 		default:
 			err = fmt.Errorf("unknown table style %q", t.Sweep.EffectiveTable())
 		}
@@ -153,70 +168,102 @@ func fig2Table(t compile.TableNode, results []service.CellResult) (string, error
 	if err != nil {
 		return "", err
 	}
-	title := t.Sweep.Title
-	if title == "" {
-		title = "Co-execution matrix — " + t.Sweep.Name
-	}
-	return experiments.FormatFig2(title, cells) + "\n", nil
+	return experiments.FormatFig2(title(t.Sweep, "Co-execution matrix — "+t.Sweep.Name), cells) + "\n", nil
 }
 
-// kernelMetrics reconstructs the kernel sweep's metric rows (sizes
-// outer, modes inner). Rows whose cell did not complete are absent —
-// a zero-valued row would corrupt the vs-serial column.
-func kernelMetrics(t compile.TableNode, results []service.CellResult) ([]experiments.KernelMetrics, error) {
-	sw := t.Sweep
-	kernel := sw.Kernels[0]
-	sizes := sw.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{0}
+// kernelRows reconstructs a kernel sweep's completed cells in grid
+// order (sizes, variants, modes). Points whose cell did not complete
+// are absent — a zero-valued row would corrupt the vs-serial column.
+func kernelRows(t compile.TableNode, results []service.CellResult) ([]compile.KernelPoint, []experiments.KernelMetrics, error) {
+	grid, err := compile.KernelGrid(t.Sweep)
+	if err != nil {
+		return nil, nil, err
 	}
+	var points []compile.KernelPoint
 	var ms []experiments.KernelMetrics
-	for _, size := range sizes {
-		modeNames := sw.Modes
-		if len(modeNames) == 0 {
-			modes, err := experiments.KernelModes(kernel, size)
-			if err != nil {
-				return nil, err
-			}
-			modeNames = make([]string, len(modes))
-			for i, m := range modes {
-				modeNames[i] = m.String()
-			}
-		}
-		for _, modeName := range modeNames {
-			mode, err := spec.ParseMode(modeName)
-			if err != nil {
-				return nil, err
-			}
-			if r, ok := done(results, t.Cells[fmt.Sprintf("%d|%s", size, mode)]); ok && r.Kernel != nil {
-				ms = append(ms, *r.Kernel)
-			}
+	for _, p := range grid {
+		if r, ok := done(results, t.Cells[p.Role()]); ok && r.Kernel != nil {
+			points = append(points, p)
+			ms = append(ms, *r.Kernel)
 		}
 	}
-	return ms, nil
+	return points, ms, nil
+}
+
+// title is the sweep's table heading, or def when the spec sets none.
+func title(sw spec.Sweep, def string) string {
+	if sw.Title != "" {
+		return sw.Title
+	}
+	return def
 }
 
 func kernelTable(t compile.TableNode, results []service.CellResult) (string, error) {
-	ms, err := kernelMetrics(t, results)
+	_, ms, err := kernelRows(t, results)
 	if err != nil {
 		return "", err
 	}
-	title := t.Sweep.Title
-	if title == "" {
-		title = "Kernel sweep — " + t.Sweep.Name
-	}
-	return experiments.FormatKernelFigure(title, ms) + "\n", nil
+	return experiments.FormatKernelFigure(title(t.Sweep, "Kernel sweep — "+t.Sweep.Name), ms) + "\n", nil
 }
 
-// textTable passes harness output through verbatim, in sweep order.
-func textTable(t compile.TableNode, results []service.CellResult) string {
-	var b strings.Builder
-	for _, h := range t.Sweep.Harnesses {
-		if r, ok := done(results, t.Cells["text|"+h]); ok {
-			b.WriteString(r.Text)
+// ablationRows labels each row with its variant's value, followed by
+// the mode when the sweep has more than one.
+func ablationRows(t compile.TableNode, results []service.CellResult) ([]experiments.AblationRow, error) {
+	points, ms, err := kernelRows(t, results)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]experiments.AblationRow, len(ms))
+	for i, p := range points {
+		v, _ := experiments.LookupVariant(p.Variant)
+		label := v.Value
+		if len(t.Sweep.Modes) > 1 {
+			label = fmt.Sprintf("%s, %v", label, p.Mode)
+		}
+		rows[i] = experiments.AblationRow{Study: t.Sweep.Name, Variant: label, Metrics: ms[i]}
+	}
+	return rows, nil
+}
+
+// selectiveResult pairs the selective sweep's canonical cell with its
+// halt=selective variant (spec.Validate pins the sweep to those two).
+func selectiveResult(t compile.TableNode, results []service.CellResult) (experiments.SelectiveHaltResult, error) {
+	_, ms, err := kernelRows(t, results)
+	if err != nil || len(ms) != 2 {
+		return experiments.SelectiveHaltResult{}, err
+	}
+	return experiments.SelectiveHaltResult{Baseline: ms[0], Planned: ms[1]}, nil
+}
+
+func sensitivityTable(t compile.TableNode, results []service.CellResult) (string, error) {
+	points, ms, err := kernelRows(t, results)
+	if err != nil {
+		return "", err
+	}
+	rows := make([]experiments.SensitivityPoint, len(ms))
+	for i, p := range points {
+		v, _ := experiments.LookupVariant(p.Variant)
+		rows[i] = experiments.SensitivityPoint{Param: v.Param, Value: v.Value, Metrics: ms[i]}
+	}
+	return experiments.FormatSensitivity(title(t.Sweep, "Sensitivity — "+t.Sweep.Name), rows), nil
+}
+
+// table1Columns reconstructs a profile sweep's columns, kernels outer
+// and modes inner; incomplete cells are absent.
+func table1Columns(t compile.TableNode, results []service.CellResult) ([]experiments.Table1Column, error) {
+	var cols []experiments.Table1Column
+	for _, kernel := range t.Sweep.Kernels {
+		for _, name := range t.Sweep.Modes {
+			mode, err := spec.ParseMode(name)
+			if err != nil {
+				return nil, err
+			}
+			if r, ok := done(results, t.Cells[kernel+"|"+mode.String()]); ok && r.Profile != nil {
+				cols = append(cols, *r.Profile)
+			}
 		}
 	}
-	return b.String()
+	return cols, nil
 }
 
 // CollectData assembles whatever paper-claim inputs the study's sweeps
@@ -248,7 +295,7 @@ func CollectData(p *compile.Plan, results []service.CellResult) (*report.Data, e
 				d.Fig2b = append(d.Fig2b, cells...)
 			}
 		case spec.TableKernel:
-			ms, err := kernelMetrics(t, results)
+			_, ms, err := kernelRows(t, results)
 			if err != nil {
 				return nil, err
 			}
@@ -269,9 +316,48 @@ func CollectData(p *compile.Plan, results []service.CellResult) (*report.Data, e
 			case "bt":
 				d.BT = append(d.BT, ms...)
 			}
+		case spec.TableAblation:
+			rows, err := ablationRows(t, results)
+			if err != nil {
+				return nil, err
+			}
+			// The §3.1 claims read the wait-primitive rows, the §3.2 claim
+			// the span rows.
+			switch variantParam(t.Sweep) {
+			case "wait":
+				d.Sync = append(d.Sync, rows...)
+			case "span":
+				d.Span = append(d.Span, rows...)
+			}
+		case spec.TableSelective:
+			r, err := selectiveResult(t, results)
+			if err != nil {
+				return nil, err
+			}
+			d.Selective = r
+		case spec.TableTable1:
+			cols, err := table1Columns(t, results)
+			if err != nil {
+				return nil, err
+			}
+			d.Table1 = append(d.Table1, cols...)
 		}
 	}
 	return d, nil
+}
+
+// variantParam is the parameter every variant of the sweep sets, or ""
+// when they differ.
+func variantParam(sw spec.Sweep) string {
+	param := ""
+	for i, name := range sw.Variants {
+		v, _ := experiments.LookupVariant(name)
+		if i > 0 && v.Param != param {
+			return ""
+		}
+		param = v.Param
+	}
+	return param
 }
 
 // classify reports whether every swept stream is FP and whether every
@@ -394,8 +480,8 @@ func Report(in Input) string {
 	for _, n := range in.Outcome.Notes {
 		fmt.Fprintf(&b, "- %s\n", n)
 	}
-	fmt.Fprintf(&b, "- budget costs are admission estimates (stream cells are exact windows; kernel/harness cells use coarse per-cell guesses), not a cycle meter.\n")
-	fmt.Fprintf(&b, "- tables whose sweep mirrors a paper grid are byte-identical to the corresponding CLI, which runs the committed studies/fig*.study.json specs through this engine; the CLIs' golden files pin Figures 1-5 and Table 1.\n")
+	fmt.Fprintf(&b, "- budget costs are admission estimates (stream cells are exact windows; kernel/profile cells use coarse per-cell guesses), not a cycle meter.\n")
+	fmt.Fprintf(&b, "- tables whose sweep mirrors a paper grid are byte-identical to the corresponding CLI, which runs the committed studies/*.study.json specs through this engine; the CLIs' golden files pin Figures 1-5, Table 1, the ablations and the sensitivity sweep.\n")
 	return b.String()
 }
 
