@@ -14,8 +14,9 @@
 // instruction streams (internal/streams); the four benchmark kernels in
 // every execution mode (internal/kernels/{mm,lu,cg,bt}); the
 // performance-monitoring and Pin/Valgrind-style profiling substrates
-// (internal/perfmon, internal/profile); and one experiment harness per
-// figure and table of the evaluation (internal/experiments).
+// (internal/perfmon, internal/profile); the cell primitives the
+// evaluation is built from (internal/experiments); and one committed
+// study spec per figure and table of the evaluation (studies/).
 //
 // The benchmarks in bench_test.go regenerate every figure and table:
 //

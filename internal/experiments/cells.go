@@ -104,7 +104,6 @@ func resolveKernelCell(kernel string, size int, mode kernels.Mode, variant strin
 		return kernelCell{}, err
 	}
 	c := kernelCell{mcfg: KernelMachineConfig(), cfg: cfg, mode: mode, label: label, observeLabel: KernelCellLabel(label, variant)}
-	parts := []any{"kernel", nil, kernel, nil, mode, label}
 	if variant != "" {
 		v, ok := LookupVariant(variant)
 		if !ok {
@@ -113,12 +112,13 @@ func resolveKernelCell(kernel string, size int, mode kernels.Mode, variant strin
 		if c.cfg, err = v.apply(&c.mcfg, c.cfg); err != nil {
 			return kernelCell{}, err
 		}
-		if c.selective = v.Selective; c.selective {
-			parts = append(parts, variant)
-		}
+		c.selective = v.Selective
 	}
-	parts[1], parts[3] = c.mcfg, c.cfg
-	c.key = runner.Key(parts...)
+	key := []any{"kernel", c.mcfg, kernel, c.cfg, mode, label}
+	if c.selective {
+		key = append(key, variant)
+	}
+	c.key = runner.Key(key...)
 	return c, nil
 }
 

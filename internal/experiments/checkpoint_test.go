@@ -219,8 +219,7 @@ func TestOptionsRoutesCheckpointing(t *testing.T) {
 	}
 	stats := &CheckpointStats{}
 	opt := Options{
-		Workers: 1,
-		Cache:   runner.NewCache(),
+		Cache: runner.NewCache(),
 		Checkpoint: &Checkpointing{
 			Every: ckEvery,
 			Sink:  checkpoint.NewMemSink(),

@@ -24,7 +24,6 @@ func artifactSet(t *testing.T, dir, label string) {
 func TestObserveStreamCellWritesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{
-		Workers: 1,
 		Cache:   runner.NewCache(),
 		Observe: &Observe{Dir: dir, SampleEvery: 64},
 	}
@@ -41,7 +40,7 @@ func TestObserveStreamCellWritesArtifacts(t *testing.T) {
 func TestObserveBypassesCache(t *testing.T) {
 	cache := runner.NewCache()
 	specs := []streams.Spec{{Kind: streams.IAddS, ILP: streams.MedILP}}
-	plain := Options{Workers: 1, Cache: cache}
+	plain := Options{Cache: cache}
 	want, err := plain.measureCPI(StreamMachineConfig(), specs, 10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +48,6 @@ func TestObserveBypassesCache(t *testing.T) {
 
 	dir := t.TempDir()
 	observed := Options{
-		Workers: 1,
 		Cache:   cache,
 		Observe: &Observe{Dir: dir, SampleEvery: 64},
 	}
@@ -73,7 +71,6 @@ func TestObserveBypassesCache(t *testing.T) {
 func TestObserveMatchFiltersCells(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{
-		Workers: 1,
 		Observe: &Observe{Dir: dir, Match: MatchSubstring("fmul"), SampleEvery: 64},
 	}
 	mcfg := StreamMachineConfig()
@@ -98,7 +95,6 @@ func TestObserveMatchFiltersCells(t *testing.T) {
 func TestObserveKernelCellWritesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{
-		Workers: 1,
 		Cache:   runner.NewCache(),
 		Observe: &Observe{Dir: dir, SampleEvery: 64},
 	}

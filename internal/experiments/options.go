@@ -6,19 +6,15 @@ import (
 	"smtexplore/internal/streams"
 )
 
-// Options configures the concurrent execution of a harness. The zero
-// value runs on all cores with no result reuse; DefaultOptions adds a
-// fresh cache. Every harness is deterministic under any Options value:
-// cells are isolated simulations returned in submission order, so the
-// output is byte-identical whether Workers is 1 or 100 and whether the
-// cache is shared, fresh or nil.
+// Options configures how the cell primitives run a cell. The zero value
+// reuses no results; DefaultOptions adds a fresh cache. Every cell is a
+// deterministic, isolated simulation, so its result is the same whether
+// the cache is shared, fresh or nil.
 type Options struct {
-	// Workers bounds the concurrent simulation cells (≤0 → GOMAXPROCS).
-	Workers int
 	// Cache reuses results of identical cells — shared solo baselines,
-	// Figure 1 duos reappearing as Figure 2 diagonals, default kernel
-	// configurations repeated across ablation studies. Share one cache
-	// across harness calls to dedup between figures; nil disables reuse.
+	// Figure 1 duos reappearing as Figure 2 diagonals, an ablation's
+	// default row that is also a Figure 3 cell. Share one cache across
+	// calls to dedup between figures; nil disables reuse.
 	Cache *runner.Cache
 	// Observe emits per-cell observability artifacts (pipeline trace,
 	// occupancy series, metrics snapshot) for matching cells; nil
@@ -39,7 +35,7 @@ type Options struct {
 	Meter runner.Meter
 }
 
-// DefaultOptions is all cores plus a fresh per-call cache.
+// DefaultOptions is a fresh per-call cache.
 func DefaultOptions() Options {
 	return Options{Cache: runner.NewCache()}
 }

@@ -113,7 +113,7 @@ func (s *Service) computeCell(ctx context.Context, spec CellSpec, artifactDir st
 		return res
 	}
 
-	opt := experiments.Options{Workers: s.cfg.Workers, Cache: s.cfg.Cache}
+	opt := experiments.Options{Cache: s.cfg.Cache}
 	opt.Meter = &tenantMeter{s: s, tenant: tenantFromCtx(ctx)}
 	if ctl != nil {
 		opt.Checkpoint = ctl.ck
@@ -124,7 +124,7 @@ func (s *Service) computeCell(ctx context.Context, spec CellSpec, artifactDir st
 	return EvalCell(ctx, spec, opt)
 }
 
-// EvalCell executes one cell spec against the given harness options and
+// EvalCell executes one cell spec against the given cell options and
 // maps the outcome onto the cell-state machine. This is the service's
 // cell semantics without the daemon around it: computeCell delegates
 // here, and the study engine's local backend calls it directly so both

@@ -112,7 +112,7 @@ func (l *Local) Run(ctx context.Context, cells []service.CellSpec, opt Options) 
 		order[i] = i
 	}
 	_, err := runner.Map(ctx, opt.Workers, order, func(ctx context.Context, i int) (struct{}, error) {
-		results[i] = service.EvalCell(ctx, cells[i], experiments.Options{Workers: opt.Workers, Cache: l.Cache, Observe: l.Observe})
+		results[i] = service.EvalCell(ctx, cells[i], experiments.Options{Cache: l.Cache, Observe: l.Observe})
 		return struct{}{}, nil
 	})
 	for i := range results {

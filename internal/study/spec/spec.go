@@ -414,17 +414,10 @@ func (sw Sweep) validate() error {
 		if len(sw.Kernels) != 1 {
 			return fmt.Errorf("kernel sweeps take exactly one kernel (the vs-serial baseline is per-kernel); split into one sweep per kernel")
 		}
+		if err := sw.validateKernelsAndModes(); err != nil {
+			return err
+		}
 		k := sw.Kernels[0]
-		switch k {
-		case "mm", "lu", "cg", "bt":
-		default:
-			return fmt.Errorf("unknown kernel %q (want mm, lu, cg or bt)", k)
-		}
-		for _, name := range sw.Modes {
-			if _, err := ParseMode(name); err != nil {
-				return err
-			}
-		}
 		sizes := sw.Sizes
 		if len(sizes) == 0 && (k == "mm" || k == "lu") {
 			return fmt.Errorf("%s sweeps need explicit sizes > 0", k)
@@ -444,20 +437,27 @@ func (sw Sweep) validate() error {
 		if len(sw.Kernels) == 0 || len(sw.Modes) == 0 {
 			return fmt.Errorf("profile sweeps need kernels and modes")
 		}
-		for _, k := range sw.Kernels {
-			switch k {
-			case "mm", "lu", "cg", "bt":
-			default:
-				return fmt.Errorf("unknown kernel %q (want mm, lu, cg or bt)", k)
-			}
-		}
-		for _, name := range sw.Modes {
-			if _, err := ParseMode(name); err != nil {
-				return err
-			}
-		}
+		return sw.validateKernelsAndModes()
 	default:
 		return fmt.Errorf("unknown kind %q (want stream, kernel or profile)", sw.Kind)
+	}
+	return nil
+}
+
+// validateKernelsAndModes checks the kernel and mode spellings of a
+// kernel or profile sweep.
+func (sw Sweep) validateKernelsAndModes() error {
+	for _, k := range sw.Kernels {
+		switch k {
+		case "mm", "lu", "cg", "bt":
+		default:
+			return fmt.Errorf("unknown kernel %q (want mm, lu, cg or bt)", k)
+		}
+	}
+	for _, name := range sw.Modes {
+		if _, err := ParseMode(name); err != nil {
+			return err
+		}
 	}
 	return nil
 }

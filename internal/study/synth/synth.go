@@ -321,10 +321,10 @@ func CollectData(p *compile.Plan, results []service.CellResult) (*report.Data, e
 			if err != nil {
 				return nil, err
 			}
-			// The §3.1 claims read the wait-primitive rows, the §3.2 claim
-			// the span rows.
-			switch variantParam(t.Sweep) {
-			case "wait":
+			// The §3.1 claims read the committed sync sweep's rows, the
+			// §3.2 claim the span sweep's.
+			switch t.Sweep.Name {
+			case "sync":
 				d.Sync = append(d.Sync, rows...)
 			case "span":
 				d.Span = append(d.Span, rows...)
@@ -344,20 +344,6 @@ func CollectData(p *compile.Plan, results []service.CellResult) (*report.Data, e
 		}
 	}
 	return d, nil
-}
-
-// variantParam is the parameter every variant of the sweep sets, or ""
-// when they differ.
-func variantParam(sw spec.Sweep) string {
-	param := ""
-	for i, name := range sw.Variants {
-		v, _ := experiments.LookupVariant(name)
-		if i > 0 && v.Param != param {
-			return ""
-		}
-		param = v.Param
-	}
-	return param
 }
 
 // classify reports whether every swept stream is FP and whether every

@@ -5,10 +5,11 @@
 #
 #   A. cell panic + wedged cell + SIGKILL mid-job: the panic is isolated
 #      to its cell, the watchdog fails the wedged cell, and after an
-#      unclean kill the journal re-runs the in-flight sync-ablation
-#      harness job (~2 s of simulation, a wide kill window) on restart,
-#      whose served text must be byte-identical to the direct
-#      `ablate -study sync` CLI output;
+#      unclean kill the journal re-runs the in-flight job of the sync
+#      ablation's three cells (~2 s of simulation, a wide kill window) on
+#      restart; the ablations study then runs against the daemon, and
+#      its synthesized tables must be byte-identical to the direct
+#      `ablate` CLI output;
 #   B. disk read errors: the circuit breaker degrades the daemon to
 #      memory-only caching (healthz "degraded", jobs keep succeeding
 #      with identical results), then heals through healthz probes;
@@ -106,8 +107,8 @@ all_terminal() {
 	fi
 }
 
-echo "== baseline: fault-free sync-ablation text"
-go run ./cmd/ablate -study sync >"$work/sync-direct.txt"
+echo "== baseline: fault-free ablation tables"
+go run ./cmd/ablate >"$work/ablate-direct.txt"
 
 echo "== phase A: panic isolation, watchdog, SIGKILL + journal recovery"
 cat >"$work/plan-a.json" <<'EOF'
@@ -134,9 +135,16 @@ j2="$(ctl submit -stream fmul -window 2000)"
 expect_failure wait-j2.out "wedged job $j2" ctl wait "$j2"
 grep -q "watchdog" "$work/wait-j2.out"
 
-# The real workload: accepted (journaled), then the daemon dies hard
-# before it can finish.
-job="$(ctl submit -fig sync)"
+# The real workload: the sync ablation's cells, accepted (journaled),
+# then the daemon dies hard before it can finish.
+cat >"$work/sync-cells.json" <<'EOF'
+{"cells": [
+  {"type": "kernel", "kernel": "mm", "size": 64, "mode": "tlp-pfetch", "variant": "wait=spin"},
+  {"type": "kernel", "kernel": "mm", "size": 64, "mode": "tlp-pfetch", "variant": "wait=spin+pause"},
+  {"type": "kernel", "kernel": "mm", "size": 64, "mode": "tlp-pfetch", "variant": "wait=halt"}
+]}
+EOF
+job="$(ctl submit -f "$work/sync-cells.json")"
 kill9_daemon
 [ "$(ls "$work/journal-a"/*.job | wc -l)" -gt 0 ]
 
@@ -145,8 +153,11 @@ start_daemon smtd-a.log -store "$work/store-a" -journal "$work/journal-a"
 grep -q "recovered" "$work/smtd-a.log"
 g_start="$(metric smtd_goroutines)"
 ctl wait "$job"
-ctl result -cell 0 -text "$job" >"$work/sync-chaos.txt"
-diff "$work/sync-direct.txt" "$work/sync-chaos.txt"
+ctl study run -via daemon -f studies/ablations.study.json -dir "$work/abl"
+for t in sync span partition selective; do
+	cat "$work/abl/ablations/tables/$t.txt"
+done >"$work/ablate-chaos.txt"
+diff "$work/ablate-direct.txt" "$work/ablate-chaos.txt"
 all_terminal
 recovered="$(metric smtd_jobs_recovered_total)"
 if [ "$recovered" -lt 1 ]; then
@@ -279,4 +290,4 @@ diff "$work/kernel-control.json" "$work/kernel-resumed.json"
 all_terminal
 stop_daemon
 
-echo "chaos smoke OK: panic isolated, watchdog fired, crash recovered (sync ablation byte-identical), store degraded and healed, 429 retried, SIGKILL'd kernel resumed from checkpoint byte-identical"
+echo "chaos smoke OK: panic isolated, watchdog fired, crash recovered (ablation tables byte-identical), store degraded and healed, 429 retried, SIGKILL'd kernel resumed from checkpoint byte-identical"
