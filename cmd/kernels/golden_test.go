@@ -80,3 +80,27 @@ func TestGoldenFig5(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenFig3 and TestGoldenFig4 pin Figures 3 and 4 at the
+// committed sizes 32, 64 and 128.
+func TestGoldenFig3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Figure 3 runs N=128 MM cells; skipped in -short")
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-bench", "mm"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig3", buf.Bytes())
+}
+
+func TestGoldenFig4(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Figure 4 runs N=128 LU cells; skipped in -short")
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-bench", "lu"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig4", buf.Bytes())
+}
