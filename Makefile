@@ -62,7 +62,7 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/runner | tee -a bench-smoke.txt
 
 # End-to-end daemon smoke: smtd + smtctl against a disk store, including
-# the byte-identical-to-CLI check and the warm-restart zero-simulation
+# the byte-identical-to-golden check and the warm-restart zero-simulation
 # check (CI runs the same script).
 service-smoke:
 	./scripts/service-smoke.sh
@@ -70,13 +70,13 @@ service-smoke:
 # Failure-hardening smoke: deterministic fault plans drive cell panics,
 # wedged cells, disk errors, a SIGKILL mid-job and queue backpressure
 # through smtd; every job must end terminal and the recovered
-# sync-ablation text must be byte-identical to the fault-free run (CI
-# runs the same script).
+# ablation tables must be byte-identical to their goldens (CI runs the
+# same script).
 chaos-smoke:
 	./scripts/chaos-smoke.sh
 
 # Cluster smoke: a coordinator plus three -join workers on a shared
-# store. Asserts coordinator/CLI byte parity, a warm-restarted fleet
+# store. Asserts coordinator/golden byte parity, a warm-restarted fleet
 # simulating zero cells, work stealing off an overloaded worker, and a
 # SIGKILL'd worker's kernel cell resuming from the shared checkpoint on
 # a survivor with a byte-identical result (CI runs the same script).
@@ -102,8 +102,9 @@ load-smoke:
 	./scripts/load-smoke.sh
 
 # Study-engine smoke: the committed Figure 1 / Table 1 specs must be
-# byte-identical to the direct CLIs and warm re-runs must simulate
-# zero cells (the dedupe/adoption contract across tools).
+# byte-identical to their goldens and to a store `paper table1` warmed,
+# and warm re-runs must simulate zero cells (the dedupe/adoption
+# contract across tools).
 study-smoke:
 	./scripts/study-smoke.sh
 

@@ -2,7 +2,7 @@ package smtexplore_test
 
 // One benchmark per table and figure of the paper's evaluation; each
 // runs its committed studies/*.study.json sweep through the study
-// engine, as the CLIs do. Each b.N iteration regenerates the
+// engine, as cmd/paper does. Each b.N iteration regenerates the
 // complete figure/table (these are macro-benchmarks; run with the
 // default -benchtime or -benchtime=1x).
 // Key series values are attached as custom metrics so regressions in the

@@ -5,8 +5,8 @@ package cluster
 // over real HTTP by the Remote worker client):
 //
 //   - parity: a figure generated through the coordinator is
-//     byte-identical to the single-node daemon and to the CLI's golden
-//     output;
+//     byte-identical to the single-node daemon and to `paper fig1`'s
+//     golden output;
 //   - shared store: a key warmed by one worker is served by another
 //     without re-simulation;
 //   - chaos: a worker killed mid-kernel loses nothing — the cell
@@ -81,16 +81,16 @@ func startStoreWorker(t *testing.T, name, dir string, checkpointEvery uint64) *r
 }
 
 // The conformance golden test: one figure through the cluster equals
-// the single-node daemon equals the CLI, byte for byte. The committed
-// Figure 1 study compiles to its 30 stream cells; each backend runs
-// them as one job, and the synthesized table must match the golden
-// file `streams -fig 1` is pinned to, closing the loop coordinator =
-// daemon = CLI.
+// the single-node daemon equals `paper fig1`, byte for byte. The
+// committed Figure 1 study compiles to its 30 stream cells; each
+// backend runs them as one job, and the synthesized table must match
+// the golden file `paper fig1` is pinned to, closing the loop
+// coordinator = daemon = paper.
 func TestClusterFig1Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 1 grid in -short mode")
 	}
-	golden, err := os.ReadFile(filepath.Join("..", "..", "cmd", "streams", "testdata", "fig1.golden"))
+	golden, err := os.ReadFile(filepath.Join("..", "..", "studies", "testdata", "fig1.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestClusterFig1Parity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := table("single-node", sj); got != string(golden) {
-		t.Fatalf("single-node fig1 diverges from the CLI golden:\n got %q\nwant %q", got, golden)
+		t.Fatalf("single-node fig1 diverges from the fig1 golden:\n got %q\nwant %q", got, golden)
 	}
 
 	// Two-worker cluster.
@@ -141,7 +141,7 @@ func TestClusterFig1Parity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := table("cluster", cj); got != string(golden) {
-		t.Fatalf("cluster fig1 diverges from the CLI golden:\n got %q\nwant %q", got, golden)
+		t.Fatalf("cluster fig1 diverges from the fig1 golden:\n got %q\nwant %q", got, golden)
 	}
 }
 

@@ -103,7 +103,7 @@ func resolveKernelCell(kernel string, size int, mode kernels.Mode, variant strin
 	if err != nil {
 		return kernelCell{}, err
 	}
-	c := kernelCell{mcfg: KernelMachineConfig(), cfg: cfg, mode: mode, label: label, observeLabel: KernelCellLabel(label, variant)}
+	c := kernelCell{mcfg: KernelMachineConfig(), cfg: cfg, mode: mode, label: label, observeLabel: KernelCellLabel(kernel, label, mode, variant)}
 	if variant != "" {
 		v, ok := LookupVariant(variant)
 		if !ok {

@@ -105,6 +105,7 @@ func TestObserveKernelCellWritesArtifacts(t *testing.T) {
 	if km.Cycles == 0 {
 		t.Fatal("kernel reported zero cycles")
 	}
-	// A variant's artifacts are named after the instance and the variant.
-	artifactSet(t, dir, "N-16-rob-64")
+	// A variant's artifacts are named after the kernel, the instance, the
+	// mode and the variant.
+	artifactSet(t, dir, "mm-N-16-serial-rob-64")
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"smtexplore/internal/kernels"
 	"smtexplore/internal/kernels/lu"
 	"smtexplore/internal/kernels/mm"
 	"smtexplore/internal/mem"
@@ -103,11 +104,13 @@ func (v Variant) apply(mcfg *smt.Config, cfg any) (any, error) {
 	return cfg, nil
 }
 
-// KernelCellLabel names a kernel cell's observe artifacts: the instance
-// label, followed by the variant when there is one.
-func KernelCellLabel(label, variant string) string {
+// KernelCellLabel names a kernel cell's observe artifacts: the kernel,
+// the instance label and the mode ("mm N=16 tlp-fine"), followed by the
+// variant when there is one, so no two cells of a figure share a name.
+func KernelCellLabel(kernel, label string, mode kernels.Mode, variant string) string {
+	l := fmt.Sprintf("%s %s %v", kernel, label, mode)
 	if variant == "" {
-		return label
+		return l
 	}
-	return label + " " + variant
+	return l + " " + variant
 }

@@ -12,8 +12,8 @@ import (
 
 // TestCollectQuick exercises the real collection path for Table 1: the
 // committed table1 study through the study engine and
-// synth.CollectData (the figure grids are covered by cmd/report's
-// golden test).
+// synth.CollectData (the figure grids are covered by cmd/paper's
+// quick-report golden).
 func TestCollectQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collection is slow")

@@ -153,7 +153,7 @@ func EvalCell(ctx context.Context, spec CellSpec, opt experiments.Options) (res 
 		var km experiments.KernelMetrics
 		km, err = experiments.VariantKernelCell(opt, spec.Kernel, spec.Size, kernelMode(spec.Mode), spec.Variant)
 		if err == nil {
-			innerLabel = experiments.KernelCellLabel(km.Label, spec.Variant)
+			innerLabel = experiments.KernelCellLabel(spec.Kernel, km.Label, kernelMode(spec.Mode), spec.Variant)
 			res.Kernel = &km
 		}
 	case TypeProfile:

@@ -396,8 +396,8 @@ func TestEventStreamOrder(t *testing.T) {
 }
 
 // The selective-halting study's two cells, served by the daemon, must
-// render byte-identically to what the ablate CLI prints, since that is
-// the service's contract.
+// render byte-identically to what `paper selective` prints, since that
+// is the service's contract.
 func TestSelectiveCellsMatchCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real LU ablation; skipped in -short")
@@ -417,12 +417,12 @@ func TestSelectiveCellsMatchCLI(t *testing.T) {
 	}
 	res := j.Results()
 	got := experiments.FormatSelectiveHalt(experiments.SelectiveHaltResult{Baseline: *res[0].Kernel, Planned: *res[1].Kernel}) + "\n"
-	want, err := os.ReadFile("../../cmd/ablate/testdata/selective.golden")
+	want, err := os.ReadFile("../../studies/testdata/selective.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("served cells render differently from the CLI:\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("served cells render differently from the golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

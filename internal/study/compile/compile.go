@@ -162,7 +162,7 @@ func streamCell(b *builder, sw spec.Sweep, pairs [][2]string) (int, error) {
 
 // compileFig1 compiles the solo/duo CPI grid: streams × ILP × threads,
 // in spec order (the committed paper specs list the paper's order, so
-// synthesis is byte-identical to `streams -fig 1`).
+// synthesis is byte-identical to `paper fig1`).
 func compileFig1(b *builder, sw spec.Sweep) (TableNode, error) {
 	t := TableNode{Sweep: sw, Cells: map[string]int{}}
 	for _, k := range sw.Streams {

@@ -67,7 +67,7 @@ type Local struct {
 	// optional, but without it warm detection and simulation accounting
 	// are unavailable.
 	Store *store.Store
-	// Observe writes per-cell artifacts for matching cells (the CLIs'
+	// Observe writes per-cell artifacts for matching cells (paper's
 	// -observe); nil observes nothing.
 	Observe *experiments.Observe
 }

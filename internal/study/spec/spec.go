@@ -37,26 +37,26 @@ const (
 // picks the formatter (and therefore the cell grid the sweep needs).
 const (
 	// TableFig1 renders solo-vs-duo CPI per stream×ILP, byte-identical
-	// to `streams -fig 1` when the sweep mirrors the paper's grid.
+	// to `paper fig1` when the sweep mirrors the paper's grid.
 	TableFig1 = "fig1"
 	// TableFig2 renders the pairwise co-execution slowdown matrix,
-	// byte-identical to `streams -fig 2a/2b/2c` for the paper's sets.
+	// byte-identical to `paper fig2a/fig2b/fig2c` for the paper's sets.
 	TableFig2 = "fig2"
 	// TableKernel renders the four-panel kernel figure, byte-identical
-	// to `kernels -bench` for the paper's sweeps.
+	// to `paper fig3/fig4/fig5` for the paper's sweeps.
 	TableKernel = "kernel"
-	// TableAblation renders one row per variant (× mode), as `ablate
-	// -study sync|span|partition` prints it.
+	// TableAblation renders one row per variant (× mode), as `paper
+	// sync|span|partition` prints it.
 	TableAblation = "ablation"
 	// TableSelective renders the selective-halting study from its two
 	// cells, the canonical one and its halt=selective variant, as
-	// `ablate -study selective` prints it.
+	// `paper selective` prints it.
 	TableSelective = "selective"
 	// TableSensitivity renders one row per variant with its delta to the
-	// first, as `sensitivity` prints it.
+	// first, as `paper sensitivity` prints it.
 	TableSensitivity = "sensitivity"
 	// TableTable1 renders the instruction-mix columns of a profile
-	// sweep, as `kernels -table 1` prints it.
+	// sweep, as `paper table1` prints it.
 	TableTable1 = "table1"
 )
 

@@ -67,6 +67,8 @@ func TestParseRejects(t *testing.T) {
 		"two kernels":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm","lu"],"sizes":[32]}]}`,
 		"mm no sizes":      `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm"]}]}`,
 		"bad mode":         `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["cg"],"modes":["warp-speed"]}]}`,
+		"bad kernel":       `{"name":"x","sweeps":[{"name":"a","kind":"kernel","table":"sensitivity","kernels":["bogus"],"variants":["rob=64"]}]}`,
+		"bad sens. mode":   `{"name":"x","sweeps":[{"name":"a","kind":"kernel","table":"sensitivity","kernels":["mm"],"sizes":[64],"modes":["bogus"],"variants":["rob=64"]}]}`,
 		"harness kind":     `{"name":"x","sweeps":[{"name":"a","kind":"harness"}]}`,
 		"kernel variants":  `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm"],"sizes":[32],"variants":["rob=64"]}]}`,
 		"selective shape":  `{"name":"x","sweeps":[{"name":"a","kind":"kernel","table":"selective","kernels":["lu"],"sizes":[32],"modes":["tlp-coarse"],"variants":["halt=selective"]}]}`,

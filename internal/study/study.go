@@ -12,7 +12,7 @@
 //	compile.Compile Spec → deduped, content-keyed cell DAG
 //	budget.Admit    cycle/cell admission, warm cells free
 //	execute.Backend local runner or smtd/cluster job API
-//	synth.Tables    figure tables (the CLIs' exact bytes)
+//	synth.Tables    figure tables (paper's exact bytes)
 //	synth.Report    Markdown report + limitations appendix
 package study
 

@@ -39,7 +39,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 }
 
 // TestFig1SpecParityAndWarmReuse: the committed Figure 1 spec, run
-// through the engine, must emit the bytes pinned by `streams -fig 1`'s
+// through the engine, must emit the bytes pinned by `paper fig1`'s
 // golden file, and a second run over the same store must simulate
 // nothing.
 func TestFig1SpecParityAndWarmReuse(t *testing.T) {
@@ -55,8 +55,8 @@ func TestFig1SpecParityAndWarmReuse(t *testing.T) {
 		t.Fatalf("cold run: %v", err)
 	}
 
-	// `streams -fig 1`'s output, pinned by its golden test.
-	golden, err := os.ReadFile(filepath.Join("..", "..", "cmd", "streams", "testdata", "fig1.golden"))
+	// `paper fig1`'s output, pinned by its golden test.
+	golden, err := os.ReadFile(filepath.Join("..", "..", "studies", "testdata", "fig1.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFig1SpecParityAndWarmReuse(t *testing.T) {
 		t.Fatalf("tables: %+v", cold.Tables)
 	}
 	if cold.Tables[0].Text != want {
-		t.Fatalf("study fig1 table is not byte-identical to `streams -fig 1`:\n--- study ---\n%s--- golden ---\n%s",
+		t.Fatalf("study fig1 table is not byte-identical to `paper fig1`:\n--- study ---\n%s--- golden ---\n%s",
 			cold.Tables[0].Text, want)
 	}
 	if cold.Summary.Simulated != 30 || cold.Summary.Warm != 0 || cold.Summary.UniqueCells != 30 {
@@ -124,7 +124,7 @@ func TestFig1SpecParityAndWarmReuse(t *testing.T) {
 }
 
 // TestTable1SpecParity proves the committed Markdown spec regenerates
-// Table 1 byte-identically to `kernels -table 1` (its golden file), and
+// Table 1 byte-identically to `paper table1` (its golden file), and
 // that a re-run over the same store simulates nothing.
 func TestTable1SpecParity(t *testing.T) {
 	if testing.Short() {
@@ -138,12 +138,12 @@ func TestTable1SpecParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	want, err := os.ReadFile(filepath.Join("..", "..", "cmd", "kernels", "testdata", "table1.golden"))
+	want, err := os.ReadFile(filepath.Join("..", "..", "studies", "testdata", "table1.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Tables[0].Text != string(want) {
-		t.Fatalf("study table1 is not byte-identical to `kernels -table 1`:\n--- study ---\n%s--- golden ---\n%s",
+		t.Fatalf("study table1 is not byte-identical to `paper table1`:\n--- study ---\n%s--- golden ---\n%s",
 			res.Tables[0].Text, want)
 	}
 	warm, err := Run(ctx, s, RunConfig{Backend: execute.NewLocal(st)})

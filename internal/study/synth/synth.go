@@ -1,7 +1,7 @@
 // Package synth turns a compiled plan plus its cell results into the
 // study's deliverables: result tables rendered by the experiments
-// formatters (the figure CLIs print these tables, so a sweep that
-// mirrors a paper grid emits their exact text), and a self-contained
+// formatters (cmd/paper prints these tables, so a sweep that mirrors
+// a paper grid emits their exact text), and a self-contained
 // Markdown report with the plan accounting, deltas vs. the paper's
 // published numbers, and a limitations/verification appendix listing
 // every skipped or failed cell.
@@ -24,9 +24,9 @@ import (
 type Table struct {
 	// Name is the sweep name (and the table's file stem).
 	Name string
-	// Text is the rendered table. For sweeps that mirror a figure CLI
-	// grid this is byte-identical to that CLI's stdout, including the
-	// trailing blank line the streams/kernels commands print.
+	// Text is the rendered table. For sweeps that mirror a paper grid
+	// this is byte-identical to that grid's golden in studies/testdata,
+	// including the trailing blank line of the figure tables.
 	Text string
 }
 
@@ -467,7 +467,7 @@ func Report(in Input) string {
 		fmt.Fprintf(&b, "- %s\n", n)
 	}
 	fmt.Fprintf(&b, "- budget costs are admission estimates (stream cells are exact windows; kernel/profile cells use coarse per-cell guesses), not a cycle meter.\n")
-	fmt.Fprintf(&b, "- tables whose sweep mirrors a paper grid are byte-identical to the corresponding CLI, which runs the committed studies/*.study.json specs through this engine; the CLIs' golden files pin Figures 1-5, Table 1, the ablations and the sensitivity sweep.\n")
+	fmt.Fprintf(&b, "- tables whose sweep mirrors a paper grid are byte-identical to what `paper` prints for it, which runs the committed studies/*.study.json specs through this engine; the goldens in studies/testdata pin Figures 1-5, Table 1, the ablations and the sensitivity sweep.\n")
 	return b.String()
 }
 

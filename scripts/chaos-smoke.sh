@@ -8,8 +8,8 @@
 #      unclean kill the journal re-runs the in-flight job of the sync
 #      ablation's three cells (~2 s of simulation, a wide kill window) on
 #      restart; the ablations study then runs against the daemon, and
-#      its synthesized tables must be byte-identical to the direct
-#      `ablate` CLI output;
+#      its four synthesized tables must be byte-identical to their
+#      goldens in studies/testdata;
 #   B. disk read errors: the circuit breaker degrades the daemon to
 #      memory-only caching (healthz "degraded", jobs keep succeeding
 #      with identical results), then heals through healthz probes;
@@ -107,9 +107,6 @@ all_terminal() {
 	fi
 }
 
-echo "== baseline: fault-free ablation tables"
-go run ./cmd/ablate >"$work/ablate-direct.txt"
-
 echo "== phase A: panic isolation, watchdog, SIGKILL + journal recovery"
 cat >"$work/plan-a.json" <<'EOF'
 {
@@ -155,9 +152,8 @@ g_start="$(metric smtd_goroutines)"
 ctl wait "$job"
 ctl study run -via daemon -f studies/ablations.study.json -dir "$work/abl"
 for t in sync span partition selective; do
-	cat "$work/abl/ablations/tables/$t.txt"
-done >"$work/ablate-chaos.txt"
-diff "$work/ablate-direct.txt" "$work/ablate-chaos.txt"
+	diff "studies/testdata/$t.golden" "$work/abl/ablations/tables/$t.txt"
+done
 all_terminal
 recovered="$(metric smtd_jobs_recovered_total)"
 if [ "$recovered" -lt 1 ]; then

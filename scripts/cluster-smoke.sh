@@ -4,8 +4,8 @@
 # three -join workers on a shared disk store, four phases:
 #
 #   A. parity: the committed Figure 1 study run through the coordinator
-#      (one job of its 30 cells) is byte-identical to the direct
-#      `streams -fig 1` CLI output;
+#      (one job of its 30 cells) is byte-identical to
+#      studies/testdata/fig1.golden;
 #   B. warm restart: the whole worker fleet is drained and replaced,
 #      and the fresh fleet serves a re-run of the study entirely from
 #      the shared store — zero cells simulated, store hits on the fresh
@@ -134,10 +134,9 @@ wait_live 3
 ctl cluster >"$work/cluster.txt"
 grep -q "live 3/3" "$work/cluster.txt"
 
-echo "== phase A: fig1 via the coordinator == direct CLI, byte for byte"
-go run ./cmd/streams -fig 1 >"$work/fig1-direct.txt"
+echo "== phase A: fig1 via the coordinator == the golden, byte for byte"
 ctl study run -via daemon -f studies/fig1.study.json -dir "$work/cold"
-diff "$work/fig1-direct.txt" "$work/cold/fig1/tables/fig1.txt"
+diff studies/testdata/fig1.golden "$work/cold/fig1/tables/fig1.txt"
 
 echo "== phase B: fresh fleet serves a warm fig1 with zero simulations"
 for w in w1 w2 w3; do stop_daemon "$w"; done
@@ -146,7 +145,7 @@ start_worker w2
 start_worker w3
 wait_live 3
 ctl study run -via daemon -f studies/fig1.study.json -dir "$work/warm"
-diff "$work/fig1-direct.txt" "$work/warm/fig1/tables/fig1.txt"
+diff studies/testdata/fig1.golden "$work/warm/fig1/tables/fig1.txt"
 sim=0
 hits=0
 for w in w1 w2 w3; do

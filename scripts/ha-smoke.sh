@@ -10,7 +10,8 @@
 #      mid-run; the standby steals the lease, re-adopts the job from
 #      the journal, and serves a result byte-identical to an
 #      uninterrupted control — then the committed Figure 1 study run
-#      through the promoted leader matches the direct CLI byte for byte;
+#      through the promoted leader matches studies/testdata/fig1.golden
+#      byte for byte;
 #   C. rejoin: the killed coordinator restarts as a standby and
 #      redirects writes to the leader via X-Cluster-Leader;
 #   D. chaos loadgen: open-loop traffic with a mid-run SIGKILL of the
@@ -177,7 +178,6 @@ CTRL="$(addr_of ctrl)"
 jc="$("$bin/smtctl" -addr "$CTRL" submit -kernel mm -mode tlp-fine -size 64)"
 "$bin/smtctl" -addr "$CTRL" wait -q "$jc"
 "$bin/smtctl" -addr "$CTRL" result -cell 0 "$jc" >"$work/kernel-control.json"
-go run ./cmd/streams -fig 1 >"$work/fig1-direct.txt"
 stop_daemon ctrl
 
 echo "== phase B: SIGKILL the active coordinator mid-kernel"
@@ -194,9 +194,9 @@ grep -q '"promotions": 1' "$work/topo-after.json"
 grep -q '"jobs_adopted"' "$work/topo-after.json"
 grep -q '"failover_latency_seconds"' "$work/topo-after.json"
 
-echo "== phase B: fig1 through the promoted leader == direct CLI, byte for byte"
+echo "== phase B: fig1 through the promoted leader == the golden, byte for byte"
 ctl study run -via daemon -f studies/fig1.study.json -dir "$work/ha-study"
-diff "$work/fig1-direct.txt" "$work/ha-study/fig1/tables/fig1.txt"
+diff studies/testdata/fig1.golden "$work/ha-study/fig1/tables/fig1.txt"
 
 echo "== phase C: the killed coordinator rejoins as a redirecting standby"
 start_coord ca "$CA" "$CB"

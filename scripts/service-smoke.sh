@@ -5,8 +5,8 @@
 #   1. build smtd/smtctl, start the daemon on a random port with a disk
 #      store, submit a stream pair, then run the committed Figure 1 study
 #      through the daemon (one job of its 30 cells);
-#   2. assert the study's Figure 1 table is byte-identical to the direct
-#      `streams -fig 1` CLI output;
+#   2. assert the study's Figure 1 table is byte-identical to
+#      studies/testdata/fig1.golden;
 #   3. SIGTERM the daemon and verify the graceful drain completed;
 #   4. restart on the same store, re-run the study, and assert the warm
 #      run simulated zero cells (everything served from disk) with
@@ -70,9 +70,8 @@ job="$("$bin/smtctl" -addr "$ADDR" submit -stream fadd,iload -ilp max -window 12
 "$bin/smtctl" -addr "$ADDR" wait "$job"
 "$bin/smtctl" -addr "$ADDR" study run -via daemon -f studies/fig1.study.json -dir "$work/cold"
 
-echo "== daemon output vs direct CLI"
-go run ./cmd/streams -fig 1 >"$work/fig1-direct.txt"
-diff "$work/fig1-direct.txt" "$work/cold/fig1/tables/fig1.txt"
+echo "== daemon output vs the golden"
+diff studies/testdata/fig1.golden "$work/cold/fig1/tables/fig1.txt"
 
 echo "== graceful shutdown"
 stop_daemon

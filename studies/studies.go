@@ -1,9 +1,9 @@
 // Package studies embeds the committed study specs — one per paper
 // figure (fig1–fig5), Table 1, the ablations and the sensitivity sweep —
 // so the files in this directory are the only place a figure's or a
-// table's grid is defined. The CLIs, the benchmarks and `smtctl study
+// table's grid is defined. cmd/paper, the benchmarks and `smtctl study
 // run -f studies/<name>.study.json` all run the same documents through
-// the study engine.
+// the study engine, and testdata/ holds each table's golden bytes.
 package studies
 
 import (
@@ -34,38 +34,46 @@ func Spec(name string) (*spec.Spec, error) {
 	return spec.Parse(b)
 }
 
-// Select gathers the named sweeps of the committed specs (fig1, fig2a,
-// fig2b, fig2c, fig3, fig4, fig5cg, fig5bt, table1, sync, span,
-// partition, selective, sensitivity) into one spec, in the given order,
-// so a single engine run compiles, dedupes and executes them together.
-func Select(sweeps ...string) (*spec.Spec, error) {
-	byName := map[string]spec.Sweep{}
+// Select gathers the named committed specs (fig1 … sensitivity, each
+// expanding to its sweeps) and single sweeps (fig2a, fig5cg, sync, …)
+// into one spec, in the given order, so a single engine run compiles,
+// dedupes and executes them together. No names selects every committed
+// spec.
+func Select(names ...string) (*spec.Spec, error) {
+	if len(names) == 0 {
+		names = specNames
+	}
+	bySpec, bySweep := map[string][]spec.Sweep{}, map[string]spec.Sweep{}
 	for _, name := range specNames {
 		s, err := Spec(name)
 		if err != nil {
 			return nil, err
 		}
+		bySpec[name] = s.Sweeps
 		for _, sw := range s.Sweeps {
-			byName[sw.Name] = sw
+			bySweep[sw.Name] = sw
 		}
 	}
 	out := &spec.Spec{Name: "paper"}
-	for _, name := range sweeps {
-		sw, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("studies: no committed sweep %q", name)
+	for _, name := range names {
+		if sweeps, ok := bySpec[name]; ok {
+			out.Sweeps = append(out.Sweeps, sweeps...)
+		} else if sw, ok := bySweep[name]; ok {
+			out.Sweeps = append(out.Sweeps, sw)
+		} else {
+			return nil, fmt.Errorf("studies: no committed spec or sweep %q", name)
 		}
-		out.Sweeps = append(out.Sweeps, sw)
 	}
 	return out, out.Validate()
 }
 
-// SetSizes replaces the problem sizes of the mm and lu figure sweeps in
-// s (the CLIs' -sizes); nil keeps the committed sizes. The ablation and
-// sensitivity tables keep theirs.
+// SetSizes replaces the problem sizes of the mm and lu kernel-figure
+// and sensitivity sweeps in s (paper's -sizes); nil keeps the committed
+// sizes. The ablation and selective tables keep theirs.
 func SetSizes(s *spec.Spec, sizes []int) {
 	for i, sw := range s.Sweeps {
-		if sizes != nil && sw.EffectiveTable() == spec.TableKernel && (sw.Kernels[0] == "mm" || sw.Kernels[0] == "lu") {
+		table := sw.EffectiveTable()
+		if sizes != nil && (table == spec.TableKernel || table == spec.TableSensitivity) && (sw.Kernels[0] == "mm" || sw.Kernels[0] == "lu") {
 			s.Sweeps[i].Sizes = sizes
 		}
 	}
