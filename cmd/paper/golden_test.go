@@ -137,6 +137,14 @@ func TestSpecIsItsSweeps(t *testing.T) {
 	}
 }
 
+// The sensitivity sweep compares every row against one baseline, so a
+// -sizes list gives it only the last size.
+func TestSensitivityTakesTheLastSize(t *testing.T) {
+	if got, want := paper(t, "-sizes", "32,16", "sensitivity"), readGolden(t, "mm-16"); !bytes.Equal(got, want) {
+		t.Errorf("paper -sizes 32,16 sensitivity differs from mm-16.golden\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // Each observed kernel cell writes its own three artifacts: the
 // observe label carries the kernel and the mode, so neither the modes
 // of one instance nor the mm and lu cells of one size overwrite each

@@ -15,8 +15,9 @@
 // Every name is resolved by studies.Select, and all of them run as one
 // plan through the study engine over an in-process backend, so a cell
 // shared by several tables simulates once. -sizes replaces the sizes of
-// the mm and lu figure and sensitivity sweeps; the ablation and
-// selective tables keep theirs. Simulation cells fan out over -workers
+// the mm and lu figure sweeps and gives the sensitivity sweep, whose
+// rows share one baseline, the last of them; the ablation and selective
+// tables keep theirs. Simulation cells fan out over -workers
 // (default: all cores); output is byte-identical to -workers 1. With
 // -observe, matching cells additionally write pipeline traces,
 // occupancy series and metrics snapshots into the directory (those
@@ -82,7 +83,7 @@ func parseSizes(s string) ([]int, error) {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
-	sizes := fs.String("sizes", "", "comma-separated mm/lu problem sizes (default: each spec's committed sizes)")
+	sizes := fs.String("sizes", "", "comma-separated mm/lu sizes for the figure and sensitivity sweeps (default: the committed sizes)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation cells (must be >= 1)")
 	storeDir := fs.String("store", "", "disk-backed result store directory, shared with smtd and smtctl")
 	observeDir := fs.String("observe", "", "write per-cell trace/occupancy/metrics artifacts into this directory")

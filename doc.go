@@ -18,8 +18,10 @@
 // evaluation is built from (internal/experiments); and one committed
 // study spec per figure and table of the evaluation (studies/).
 //
-// The benchmarks in bench_test.go regenerate every figure and table:
+// cmd/paper and the benchmarks in bench_test.go regenerate every figure
+// and table:
 //
+//	go run ./cmd/paper
 //	go test -bench=. -benchmem .
 //
 // See README.md for the architecture overview, DESIGN.md for the

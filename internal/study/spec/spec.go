@@ -406,7 +406,11 @@ func (sw Sweep) validate() error {
 			if len(sw.Sizes) != 1 || len(sw.Modes) != 1 || len(sw.Variants) != 2 || sw.Variants[0] != "" || sw.Variants[1] != "halt=selective" {
 				return fmt.Errorf("selective tables take one size, one mode and variants [\"\", \"halt=selective\"]")
 			}
-		case TableAblation, TableSensitivity:
+		case TableSensitivity:
+			if len(sw.Sizes) > 1 || len(sw.Modes) != 1 {
+				return fmt.Errorf("sensitivity tables take at most one size and exactly one mode (every row's delta is against one baseline)")
+			}
+		case TableAblation:
 		default:
 			return fmt.Errorf("kernel sweeps take table %q, %q, %q or %q, not %q",
 				TableKernel, TableAblation, TableSelective, TableSensitivity, table)

@@ -69,6 +69,8 @@ func TestParseRejects(t *testing.T) {
 		"bad mode":         `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["cg"],"modes":["warp-speed"]}]}`,
 		"bad kernel":       `{"name":"x","sweeps":[{"name":"a","kind":"kernel","table":"sensitivity","kernels":["bogus"],"variants":["rob=64"]}]}`,
 		"bad sens. mode":   `{"name":"x","sweeps":[{"name":"a","kind":"kernel","table":"sensitivity","kernels":["mm"],"sizes":[64],"modes":["bogus"],"variants":["rob=64"]}]}`,
+		"sens. two sizes":  `{"name":"x","sweeps":[{"name":"a","kind":"kernel","table":"sensitivity","kernels":["mm"],"sizes":[16,32],"modes":["serial"],"variants":["rob=64"]}]}`,
+		"sens. all modes":  `{"name":"x","sweeps":[{"name":"a","kind":"kernel","table":"sensitivity","kernels":["mm"],"sizes":[16],"variants":["rob=64"]}]}`,
 		"harness kind":     `{"name":"x","sweeps":[{"name":"a","kind":"harness"}]}`,
 		"kernel variants":  `{"name":"x","sweeps":[{"name":"a","kind":"kernel","kernels":["mm"],"sizes":[32],"variants":["rob=64"]}]}`,
 		"selective shape":  `{"name":"x","sweeps":[{"name":"a","kind":"kernel","table":"selective","kernels":["lu"],"sizes":[32],"modes":["tlp-coarse"],"variants":["halt=selective"]}]}`,

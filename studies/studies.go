@@ -72,9 +72,16 @@ func Select(names ...string) (*spec.Spec, error) {
 // sizes. The ablation and selective tables keep theirs.
 func SetSizes(s *spec.Spec, sizes []int) {
 	for i, sw := range s.Sweeps {
-		table := sw.EffectiveTable()
-		if sizes != nil && (table == spec.TableKernel || table == spec.TableSensitivity) && (sw.Kernels[0] == "mm" || sw.Kernels[0] == "lu") {
+		if sizes == nil || len(sw.Kernels) == 0 || (sw.Kernels[0] != "mm" && sw.Kernels[0] != "lu") {
+			continue
+		}
+		switch sw.EffectiveTable() {
+		case spec.TableKernel:
 			s.Sweeps[i].Sizes = sizes
+		case spec.TableSensitivity:
+			// Every row's delta is against one baseline, so the sweep
+			// takes one size: the last.
+			s.Sweeps[i].Sizes = sizes[len(sizes)-1:]
 		}
 	}
 }
