@@ -191,15 +191,20 @@ func TestObserveWritesEachCell(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"bogus"},
-		{"-workers", "0"},
-		{"-sizes", "0"},
-		{"-sizes", "x"},
-		{"-no-such-flag"},
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"unknown-name", []string{"bogus"}},
+		{"workers-0", []string{"-workers", "0"}},
+		{"sizes-0", []string{"-sizes", "0"}},
+		{"sizes-x", []string{"-sizes", "x"}},
+		{"unknown-flag", []string{"-no-such-flag"}},
 	} {
-		if err := run(args, io.Discard); !errors.Is(err, errUsage) {
-			t.Errorf("run(%q) = %v, want errUsage", args, err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if err := run(tc.args, io.Discard); !errors.Is(err, errUsage) {
+				t.Errorf("run(%q) = %v, want errUsage", tc.args, err)
+			}
+		})
 	}
 }
