@@ -123,8 +123,8 @@ obs-artifacts:
 
 # Benchmark-regression gate (mirrors the bench-gate CI job): the gated
 # benchmark set — the cold Figure-1 macro-benchmark, the per-cycle
-# stepping micro-benchmarks and BenchmarkStreamCell's whole loop-stream
-# cells — must hold time/op within 10% of the committed BENCH_0006.json
+# stepping micro-benchmarks, BenchmarkStreamCell's whole loop-stream
+# cells and BenchmarkKernelCell's whole kernel cells — must hold time/op within 10% of the committed BENCH_0006.json
 # baseline and allocs/op from rising (zero on the stepping set). Use
 # `scripts/bench-gate.sh --against REF` for a same-machine A/B when the
 # local box differs from the one that recorded the baseline.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -43,30 +44,74 @@ func ckControl(t *testing.T) KernelMetrics {
 // TestCheckpointResumeParity is the tentpole guarantee at the harness
 // level: preempt a kernel cell at a checkpoint, resume it in a separate
 // call (fresh machine, as a restarted process would), and require the
-// resulting metrics to be exactly those of an uninterrupted run.
+// resulting metrics to be exactly those of an uninterrupted run. The
+// cells are the ones a cluster's workers run checkpointed: every mode mm
+// and lu implement at N=32, paused every 25 000 cycles and preempted at
+// the second pause. -short runs two of them.
 func TestCheckpointResumeParity(t *testing.T) {
-	control := ckControl(t)
+	type cellCase struct {
+		kernel string
+		mode   kernels.Mode
+	}
+	var cells []cellCase
+	for _, m := range []kernels.Mode{kernels.Serial, kernels.TLPFine, kernels.TLPCoarse, kernels.TLPPfetch, kernels.TLPPfetchWork, kernels.SerialPrefetch} {
+		cells = append(cells, cellCase{"mm", m})
+	}
+	for _, m := range []kernels.Mode{kernels.Serial, kernels.TLPCoarse, kernels.TLPPfetch} {
+		cells = append(cells, cellCase{"lu", m})
+	}
+	if testing.Short() {
+		cells = []cellCase{{"mm", kernels.TLPFine}, {"lu", kernels.TLPPfetch}}
+	}
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("%s-32-%v", c.kernel, c.mode), func(t *testing.T) {
+			t.Parallel()
+			cell, err := resolveKernelCell(c.kernel, 32, c.mode, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := func() Builder {
+				b, err := newBuilder(cell.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			control, err := RunKernel(build(), c.mode, cell.mcfg, cell.label)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkResumeParity(t, build, c.mode, cell.label, cell.key, 25_000, control)
+		})
+	}
+}
+
+// checkResumeParity runs a cell checkpointed every `every` cycles,
+// preempts it at the second pause, resumes it on a fresh machine, and
+// requires the resumed metrics to equal control.
+func checkResumeParity(t *testing.T, build func() Builder, mode kernels.Mode, label, key string, every uint64, control KernelMetrics) {
+	t.Helper()
 	sink := checkpoint.NewMemSink()
 	stats := &CheckpointStats{}
 
 	// First attempt: stop at the second pause point.
 	var pauses atomic.Uint64
 	ck := &Checkpointing{
-		Every: ckEvery,
+		Every: every,
 		Sink:  sink,
 		Stats: stats,
 		ShouldStop: func() (string, bool) {
 			return "test preemption", pauses.Add(1) >= 2
 		},
 	}
-	_, err := runKernelCheckpointed(ckBuilder(t), kernels.TLPFine, KernelMachineConfig(), ckLabel, ckKey, ck)
+	_, err := runKernelCheckpointed(build(), mode, KernelMachineConfig(), label, key, ck)
 	if !errors.Is(err, ErrCellPreempted) {
 		t.Fatalf("want ErrCellPreempted, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "test preemption") {
 		t.Errorf("preemption error lacks the reason: %v", err)
 	}
-	if _, ok := sink.Load(checkpoint.SinkKey(ckKey)); !ok {
+	if _, ok := sink.Load(checkpoint.SinkKey(key)); !ok {
 		t.Fatal("no checkpoint in the sink after preemption")
 	}
 	written, restored, bytes, _ := stats.Snapshot()
@@ -77,7 +122,7 @@ func TestCheckpointResumeParity(t *testing.T) {
 	// Second attempt: resume and run to completion.
 	var resumedFrom atomic.Uint64
 	ck2 := ck.ForCell(nil, func(saved uint64) { resumedFrom.Store(saved) })
-	got, err := runKernelCheckpointed(ckBuilder(t), kernels.TLPFine, KernelMachineConfig(), ckLabel, ckKey, ck2)
+	got, err := runKernelCheckpointed(build(), mode, KernelMachineConfig(), label, key, ck2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +135,7 @@ func TestCheckpointResumeParity(t *testing.T) {
 	if _, _, _, saved := stats.Snapshot(); saved == 0 {
 		t.Error("resume_cycles_saved not accumulated")
 	}
-	if _, ok := sink.Load(checkpoint.SinkKey(ckKey)); ok {
+	if _, ok := sink.Load(checkpoint.SinkKey(key)); ok {
 		t.Error("checkpoint not deleted after completion")
 	}
 }

@@ -219,7 +219,7 @@ func (m *Machine) allocExec(t *thread, in isa.Instr, now uint64, spin bool) bool
 		// dispatch: it can sleep from birth with no wake bound at all.
 		wake = schedAsleep
 	}
-	m.schedInsert(ref, in.Op, wake)
+	m.schedInsert(ref, opClass[in.Op], wake)
 	return true
 }
 

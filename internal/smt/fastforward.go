@@ -30,22 +30,13 @@ func (m *Machine) ffSkip(bound uint64) bool {
 	}
 	event := bound
 
-	// Scheduler: schedMin caches a per-word lower bound on the earliest
-	// wake of the word's live entries. A bound at or below now means an
-	// entry may be examined this cycle — dispatch, a retry expiry or a
-	// stale-reference reap (schedWakeStale zeroes wakes) — so no skip.
+	// Scheduler: an entry that may act this cycle — a due entry (a retry
+	// expiry, a stale-reference reap) or a ready one with a free unit —
+	// means no skip; otherwise the next unit release of a ready class or
+	// the earliest wake in the wheel bounds the span.
 	if m.schedTail != m.schedHead {
-		for w, lv := range m.schedLive {
-			if lv == 0 {
-				continue
-			}
-			mn := m.schedMin[w]
-			if mn <= now {
-				return false
-			}
-			if mn < event {
-				event = mn
-			}
+		if event = m.schedNext(now, event); event <= now {
+			return false
 		}
 	}
 

@@ -125,7 +125,7 @@ func TestGoldenCounters(t *testing.T) {
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Skipf("no golden file (%v); run with -update to create it", err)
+		t.Fatalf("no golden file (%v); run with -update to create it", err)
 	}
 	want := map[string]goldenEntry{}
 	if err := json.Unmarshal(data, &want); err != nil {

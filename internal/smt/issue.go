@@ -9,38 +9,38 @@ import (
 
 // schedEntry is one scheduler-window slot: the µop reference plus a
 // conservative wake bound — a cycle before which examining the µop is
-// provably a no-op (dependences cannot have completed, a retry delay is
-// pending, or every candidate execution unit is busy). The bound lets
-// the select scan skip the entry — and, via the per-word schedMin
-// summary, whole uint64 words of entries — without resolving it. Wake
-// bounds are advisory: a stale-low bound re-examines harmlessly (every
-// skipped examination path is mutation-free), so they are neither
-// serialized in snapshots nor consulted for anything but scan pruning.
+// provably a no-op (dependences cannot have completed or a retry delay
+// is pending). The bound files the entry in the wake wheel, so the
+// select never visits it before then. Wake bounds are advisory: a
+// stale-low bound re-examines harmlessly (every skipped examination path
+// is mutation-free), so they are neither serialized in snapshots nor
+// consulted for anything but scan pruning.
 type schedEntry struct {
 	ref uopRef
-	// op mirrors the µop's opcode so the port-budget probe of a
-	// ready-but-port-starved entry needs no ROB access.
-	op isa.Op
-	// ready caches a true uopReady verdict. Readiness is sticky — a
-	// satisfied dependence is cleared from the µop and readyAt never
-	// rises afterwards — so the flag is invalidated only by the
-	// spin-exit flush, via schedWakeStale.
+	// class is the µop's port class (opClass), so the port probe of a
+	// ready entry needs no ROB access.
+	class uint8
+	// ready caches a true uopReady verdict and mirrors membership of
+	// the class's ready bitmap. Readiness is sticky — a satisfied
+	// dependence is cleared from the µop and readyAt never rises
+	// afterwards — so the flag is dropped only by a rejected load's
+	// replay and by the spin-exit flush, via schedWakeStale.
 	ready bool
 	wake  uint64
 }
-
-// debugNoWake (tests only) disables wake-bound pruning so every entry is
-// examined every cycle, the pre-bitmap behaviour.
-var debugNoWake = false
 
 // schedAsleep is the wake bound of an entry with no scheduled
 // re-examination: it sleeps until a producer dispatch prods it.
 const schedAsleep = ^uint64(0)
 
+// wheelSlots is the wake wheel's size in cycles. A wake further out is
+// parked at the horizon and re-filed from there.
+const wheelSlots = 64
+
 // schedInsert appends a reference to the scheduler ring in allocation
 // order. wake is the entry's initial wake bound (the consumer's readyAt
-// memo captured at allocation) and op the µop's opcode.
-func (m *Machine) schedInsert(ref uopRef, op isa.Op, wake uint64) {
+// memo captured at allocation) and class the µop's port class.
+func (m *Machine) schedInsert(ref uopRef, class uint8, wake uint64) {
 	// Compact one bitmap word short of capacity: the scan walks
 	// 64-aligned absolute windows, and keeping the span under
 	// capacity-64 guarantees no two windows alias the same physical
@@ -50,33 +50,89 @@ func (m *Machine) schedInsert(ref uopRef, op isa.Op, wake uint64) {
 		m.schedCompact()
 	}
 	slot := m.schedTail & uint64(len(m.schedRing)-1)
-	m.schedRing[slot] = schedEntry{ref: ref, op: op, wake: wake}
+	m.schedRing[slot] = schedEntry{ref: ref, class: class, wake: wake}
 	if u := m.resolve(ref); u != nil {
 		u.schedSlot = uint32(slot)
 	}
-	w := slot >> 6
-	if m.schedLive[w] == 0 {
-		m.schedWordOp[w] = op
-		m.schedWordMixed[w] = false
-	} else if m.schedWordOp[w] != op {
-		m.schedWordMixed[w] = true
-	}
-	m.schedLive[w] |= 1 << (slot & 63)
-	if wake == schedAsleep {
-		m.schedDeep[w] |= 1 << (slot & 63)
-	} else {
-		m.schedDeep[w] &^= 1 << (slot & 63)
-	}
-	if wake < m.schedMin[w] {
-		m.schedMin[w] = wake
-	}
+	m.schedLive[slot>>6] |= 1 << (slot & 63)
+	m.schedPlace(slot, wake)
 	m.schedTail++
+}
+
+// schedPlace files the unready entry at slot under its wake bound: due
+// when the bound lies before the wheel's cursor, in the wheel bucket of
+// the bound (parked at the horizon when further out), or nowhere for a
+// deep sleeper, which waits for a prod.
+func (m *Machine) schedPlace(slot, wake uint64) {
+	w, bit := slot>>6, uint64(1)<<(slot&63)
+	switch {
+	case wake == schedAsleep:
+	case wake < m.wheelAt:
+		m.schedDue[w] |= bit
+	default:
+		if h := m.wheelAt + wheelSlots - 1; wake > h {
+			wake = h
+		}
+		b := wake & (wheelSlots - 1)
+		m.wheel[b*uint64(len(m.schedLive))+w] |= bit
+		m.wheelOcc |= 1 << b
+	}
+}
+
+// schedSetReady moves the entry at slot into its class's ready bitmap
+// (in) or out of it.
+func (m *Machine) schedSetReady(slot uint64, e *schedEntry, in bool) {
+	w, bit := slot>>6, uint64(1)<<(slot&63)
+	r := &m.schedReady[int(e.class)*len(m.schedLive)+int(w)]
+	e.ready = in
+	if in {
+		*r |= bit
+		m.schedReadyAll[w] |= bit
+	} else {
+		*r &^= bit
+		m.schedReadyAll[w] &^= bit
+	}
+}
+
+// wheelDrain moves the wheel buckets of cycles [wheelAt, now] into the
+// due set and advances the cursor past now. A bucket bit of an entry that
+// has since left the window or turned ready is dropped; one left behind
+// by a prod that re-filed its entry only costs a re-examination.
+func (m *Machine) wheelDrain(now uint64) {
+	occ := m.wheelOcc
+	if span := now - m.wheelAt; span < wheelSlots-1 {
+		occ &= bits.RotateLeft64(1<<(span+1)-1, int(m.wheelAt&(wheelSlots-1)))
+	}
+	m.wheelOcc &^= occ
+	nw := len(m.schedLive)
+	for ; occ != 0; occ &= occ - 1 {
+		row := m.wheel[bits.TrailingZeros64(occ)*nw:][:nw]
+		for w, v := range row {
+			if v != 0 {
+				m.schedDue[w] |= v & m.schedLive[w] &^ m.schedReadyAll[w]
+				row[w] = 0
+			}
+		}
+	}
+	m.wheelAt = now + 1
+}
+
+// schedClearSets empties every per-slot bitmap: occupancy, due, ready
+// and the wheel.
+func (m *Machine) schedClearSets() {
+	clear(m.schedLive)
+	clear(m.schedDue)
+	clear(m.schedReady)
+	clear(m.schedReadyAll)
+	clear(m.wheel)
+	m.wheelOcc = 0
 }
 
 // schedCompact squeezes the holes out of the ring when the absolute span
 // reaches capacity. Live entries keep their relative (age) order, so the
-// scan — and therefore simulated timing — is unaffected. Amortised cost
-// is O(1) per insertion: at least half the span is holes when it fires.
+// scan — and therefore simulated timing — is unaffected, and each is
+// re-filed from its ready flag and wake bound. Amortised cost is O(1)
+// per insertion: at least half the span is holes when it fires.
 func (m *Machine) schedCompact() {
 	mask := uint64(len(m.schedRing) - 1)
 	n := uint64(0)
@@ -87,29 +143,18 @@ func (m *Machine) schedCompact() {
 			n++
 		}
 	}
-	for i := range m.schedLive {
-		m.schedLive[i] = 0
-		m.schedMin[i] = ^uint64(0)
-		m.schedDeep[i] = 0
-	}
+	m.schedClearSets()
 	copy(m.schedRing, m.schedScratch[:n])
 	for i := uint64(0); i < n; i++ {
-		w := i >> 6
-		if m.schedLive[w] == 0 {
-			m.schedWordOp[w] = m.schedRing[i].op
-			m.schedWordMixed[w] = false
-		} else if m.schedWordOp[w] != m.schedRing[i].op {
-			m.schedWordMixed[w] = true
-		}
-		m.schedLive[w] |= 1 << (i & 63)
-		if m.schedRing[i].wake == schedAsleep {
-			m.schedDeep[w] |= 1 << (i & 63)
-		}
-		if wk := m.schedRing[i].wake; wk < m.schedMin[w] {
-			m.schedMin[w] = wk
+		e := &m.schedRing[i]
+		m.schedLive[i>>6] |= 1 << (i & 63)
+		if e.ready {
+			m.schedSetReady(i, e, true)
+		} else {
+			m.schedPlace(i, e.wake)
 		}
 		// Keep the µop's back-pointer valid so dispatch prods land.
-		if u := m.resolve(m.schedRing[i].ref); u != nil {
+		if u := m.resolve(e.ref); u != nil {
 			u.schedSlot = uint32(i)
 		}
 	}
@@ -137,60 +182,89 @@ func (m *Machine) schedLen() int {
 	return n
 }
 
-// schedReset empties the ring (Restore path). Entries are re-inserted
-// with wake 0 — examined immediately, exactly as the pre-wake-bound scan
-// treated every entry — so a restored machine steps identically.
+// schedReset empties the ring (Restore path) and restarts the wheel at
+// the current cycle. Entries are re-inserted with wake 0 — due at once,
+// exactly as the per-slot scan treated every entry — so a restored
+// machine steps identically.
 func (m *Machine) schedReset() {
-	for i := range m.schedLive {
-		m.schedLive[i] = 0
-		m.schedMin[i] = ^uint64(0)
-		m.schedDeep[i] = 0
-	}
+	m.schedClearSets()
 	m.schedHead, m.schedTail = 0, 0
-	m.portBlockedAt = [len(m.portBlockedAt)]uint64{}
-	m.portBlockedWake = [len(m.portBlockedWake)]uint64{}
+	m.wheelAt = m.cycle
 }
 
-// schedWakeStale zeroes the wake bound of entries whose reference went
-// stale (spin-flush invalidation), so the next scan drops them — and
-// releases their window slots — on the same cycle the per-slot scan
-// always did, keeping allocation timing byte-identical.
+// schedWakeStale makes every entry whose reference went stale
+// (spin-flush invalidation) due, so the next scan drops it — and
+// releases its window slot — on the same cycle the per-slot scan always
+// did, keeping allocation timing byte-identical.
 func (m *Machine) schedWakeStale() {
 	mask := uint64(len(m.schedRing) - 1)
 	for pos := m.schedHead; pos < m.schedTail; pos++ {
 		slot := pos & mask
-		w := slot >> 6
-		if m.schedLive[w]&(1<<(slot&63)) == 0 {
+		w, bit := slot>>6, uint64(1)<<(slot&63)
+		if m.schedLive[w]&bit == 0 {
 			continue
 		}
 		e := &m.schedRing[slot]
 		if u := m.resolve(e.ref); u == nil || u.cancelled || u.issued {
+			if e.ready {
+				m.schedSetReady(slot, e, false)
+			}
 			e.wake = 0
-			e.ready = false
-			m.schedMin[w] = 0
-			m.schedDeep[w] &^= 1 << (slot & 63)
+			m.schedDue[w] |= bit
 		}
 	}
 }
 
-// nextPortFree returns a lower bound on the next cycle a µop of opcode op
-// could acquire an issue port: next cycle if any candidate unit is (or is
-// about to be) free — per-cycle port budgets reset every cycle —
-// otherwise the earliest initiation-interval expiry among the candidate
-// units. unitNextFree only grows, so the bound can go stale low (harmless
-// re-examination) but never high.
-func (m *Machine) nextPortFree(op isa.Op, now uint64) uint64 {
-	earliest := ^uint64(0)
-	for _, c := range opPorts[op] {
-		nf := m.unitNextFree[c.unit]
-		if nf <= now+1 {
-			return now + 1
-		}
-		if nf < earliest {
-			earliest = nf
+// schedNext returns a lower bound, capped at limit, on the first cycle
+// at or after now at which a scheduler entry could act (dispatch, replay
+// a rejected load or be reaped as stale): now while any entry is due;
+// otherwise the earliest cycle a unit of a ready entry's class is free
+// (port budgets reset every cycle, so at a cycle's start only initiation
+// intervals bind) or the earliest wake in the wheel. Deep sleepers act
+// only after a prod, which only a dispatch sends.
+func (m *Machine) schedNext(now, limit uint64) uint64 {
+	for _, due := range m.schedDue {
+		if due != 0 {
+			return now
 		}
 	}
-	return earliest
+	nw := len(m.schedLive)
+	next := limit
+	for w, r := range m.schedReadyAll {
+		if r == 0 {
+			continue
+		}
+		for c := range classPorts {
+			if m.schedReady[c*nw+w] == 0 {
+				continue
+			}
+			for _, pc := range classPorts[c] {
+				if nf := m.unitNextFree[pc.unit]; nf <= now {
+					return now
+				} else if nf < next {
+					next = nf
+				}
+			}
+		}
+	}
+	// Walk the wheel's buckets in cycle order from the cursor. Every
+	// entry filed under cycle d wakes no earlier than d (a parked one
+	// later), so the walk ends at the first bucket at or past the best
+	// bound; a leftover bit only lowers the bound.
+	for occ := m.wheelOcc; occ != 0; {
+		off := uint64(bits.TrailingZeros64(bits.RotateLeft64(occ, -int(m.wheelAt&(wheelSlots-1)))))
+		if m.wheelAt+off >= next {
+			break
+		}
+		b := (m.wheelAt + off) & (wheelSlots - 1)
+		occ &^= 1 << b
+		for w, v := range m.wheel[int(b)*nw:][:nw] {
+			for v &= m.schedLive[w] &^ m.schedReadyAll[w]; v != 0; v &= v - 1 {
+				next = min(next, m.schedRing[w<<6|bits.TrailingZeros64(v)].wake)
+			}
+		}
+	}
+	return max(next, now)
 }
 
 // issue dispatches ready µops from the shared scheduler window to the
@@ -200,8 +274,27 @@ func (m *Machine) nextPortFree(op isa.Op, now uint64) uint64 {
 // slow-int, load, store) occupies its port for the whole cycle.
 // Non-pipelined or partially pipelined units additionally enforce their
 // initiation interval through unitNextFree.
+//
+// The select visits only entries that can act: the due set (entries
+// whose wake bound has passed, and stale ones) and the ready bitmaps of
+// port classes not yet exhausted this cycle, merged oldest-first one
+// bitmap word at a time. Every other live entry sleeps, and its
+// examination would be a no-op; it is retained without a visit.
 func (m *Machine) issue() {
 	now := m.cycle
+	m.wheelDrain(now)
+	idle := true
+	for w, due := range m.schedDue {
+		if due|m.schedReadyAll[w] != 0 {
+			idle = false
+			break
+		}
+	}
+	if idle {
+		// Every live entry sleeps: nothing to visit, dispatch or reap,
+		// and the head already sits on a live entry.
+		return
+	}
 	issued := 0
 	var portBudget [isa.NumPorts]int
 	for p := 1; p < isa.NumPorts; p++ {
@@ -210,100 +303,71 @@ func (m *Machine) issue() {
 
 	// The select logic examines only the oldest scanLimit candidates per
 	// cycle, like the bounded wakeup/select of the modelled scheduler
-	// queues; younger entries wait until age brings them forward. kept
-	// counts retained candidates — skipping a sleeping entry (or a whole
-	// word of them) retains it, so wake-bound pruning leaves the
-	// scan-window accounting identical to the per-slot loop.
+	// queues; younger entries wait until age brings them forward. Every
+	// live entry older than a candidate was retained — dispatched and
+	// reaped entries have left schedLive — so the retained count at a
+	// candidate is kept (the live entries of the words already passed)
+	// plus the live bits below it in its own word.
 	const scanLimit = 64
 
 	width := m.cfg.IssueWidth
-	kept := 0
+	nw := len(m.schedLive)
 	mask := uint64(len(m.schedRing) - 1)
-	stopped := false
+	kept := 0
+	// blocked holds the port classes pickPort has failed for this cycle:
+	// budgets only shrink and units only get busier within a cycle, so
+	// their remaining ready entries cannot dispatch either.
+	var blocked uint32
 	var issuedBy [NumContexts]uint64
 
 	// Walk 64-aligned absolute windows; each maps to exactly one bitmap
 	// word (the span never exceeds ring capacity, and bits outside
 	// [head, tail) are clear).
-	for base := m.schedHead &^ 63; base < m.schedTail && !stopped; base += 64 {
+scan:
+	for base := m.schedHead &^ 63; base < m.schedTail; base += 64 {
 		w := (base & mask) >> 6
-		liveW := m.schedLive[w]
-		if liveW == 0 {
+		live := m.schedLive[w]
+		if live == 0 {
 			continue
 		}
-		if m.schedMin[w] > now && !debugNoWake {
-			// Every entry in this word sleeps past now: retain them all
-			// with one compare. They still occupy scan-window slots.
-			kept += bits.OnesCount64(liveW)
-			if kept >= scanLimit {
-				break
-			}
-			continue
+		ready := m.schedReadyAll[w]
+		for bl := blocked; bl != 0 && ready != 0; bl &= bl - 1 {
+			ready &^= m.schedReady[bits.TrailingZeros32(bl)*nw+int(w)]
 		}
-		newMin := ^uint64(0)
-		wordPartial := false
-		// Deep sleepers (wake == schedAsleep) re-arm only via a dispatch
-		// prod, so the scan retains them by popcount — interleaved in age
-		// order with the awake entries so the scan-window accounting stays
-		// identical to the per-slot loop (their ^0 wake never lowers
-		// newMin, and their examination would be a pure skip).
-		deepPending := m.schedDeep[w] & liveW
-		if debugNoWake {
-			deepPending = 0
-		}
-		for bm := liveW &^ deepPending; bm != 0; bm &= bm - 1 {
-			b := bits.TrailingZeros64(bm)
-			if older := deepPending & (1<<uint(b) - 1); older != 0 {
-				kept += bits.OnesCount64(older)
-				// A dispatch at an earlier awake bit may have prodded one
-				// of these sleepers, giving it a finite wake (> now, so it
-				// needs no exam this cycle) that the exact-min update must
-				// see — the per-slot loop would have visited it here.
-				if prodded := older &^ m.schedDeep[w]; prodded != 0 {
-					for bm2 := prodded; bm2 != 0; bm2 &= bm2 - 1 {
-						slot2 := w<<6 | uint64(bits.TrailingZeros64(bm2))
-						if wk := m.schedRing[slot2].wake; wk < newMin {
-							newMin = wk
-						}
-					}
-				}
-				deepPending &^= older
-			}
-			if issued >= width || kept >= scanLimit {
-				// No more dispatch this cycle: retain the tail wholesale.
-				stopped = true
-				break
+		cand := (m.schedDue[w] | ready) & live
+		// Below the bound even with every live bit of the word retained,
+		// no candidate here needs the per-bit count.
+		bounded := kept+bits.OnesCount64(live) > scanLimit
+		for cand != 0 {
+			b := bits.TrailingZeros64(cand)
+			bit := uint64(1) << b
+			cand &^= bit
+			if issued >= width || bounded && kept+bits.OnesCount64(m.schedLive[w]&(bit-1)) >= scanLimit {
+				break scan
 			}
 			slot := w<<6 | uint64(b)
 			e := &m.schedRing[slot]
-			if e.wake > now && !debugNoWake {
-				kept++
-				if e.wake < newMin {
-					newMin = e.wake
-				}
-				continue
-			}
 			ref := e.ref
 			var u *uop
 			if !e.ready {
+				m.schedDue[w] &^= bit
+				if e.wake > now {
+					// Parked at the wheel's horizon, or a bucket bit a
+					// prod left behind: still asleep.
+					m.schedPlace(slot, e.wake)
+					continue
+				}
 				u = m.resolve(ref)
 				if u == nil || u.cancelled || u.issued {
 					// Stale (flushed) or already dispatched: drop the
 					// entry and release the window slot.
-					m.schedLive[w] &^= 1 << uint64(b)
+					m.schedLive[w] &^= bit
 					m.threads[ref.tid].schedCount--
 					continue
 				}
 				if u.retryAt > now {
-					wk := u.readyAt
-					if u.retryAt > wk {
-						wk = u.retryAt
-					}
-					e.wake = wk
-					kept++
-					if wk < newMin {
-						newMin = wk
-					}
+					e.wake = max(u.readyAt, u.retryAt)
+					m.schedPlace(slot, e.wake)
 					continue
 				}
 				if ready, deep := m.uopReady(u, ref, now); !ready {
@@ -313,169 +377,113 @@ func (m *Machine) issue() {
 					// false uopReady always leaves readyAt > now, and in
 					// between the per-slot loop's examination was a
 					// no-op, so the skip is timing-exact.
-					wk := u.readyAt
+					e.wake = u.readyAt
 					if deep {
-						wk = schedAsleep
-						m.schedDeep[w] |= 1 << uint64(b)
+						e.wake = schedAsleep
 					}
-					e.wake = wk
-					kept++
-					if wk < newMin {
-						newMin = wk
-					}
+					m.schedPlace(slot, e.wake)
 					continue
 				}
-				e.ready = true
-			}
-			if m.portBlockedAt[e.op] == now+1 {
-				// A same-class candidate already found the ports
-				// exhausted this cycle; reuse its wake bound.
-				wk := m.portBlockedWake[e.op]
-				e.wake = wk
-				kept++
-				if wk < newMin {
-					newMin = wk
+				m.schedSetReady(slot, e, true)
+				if blocked&(1<<e.class) != 0 {
+					continue
 				}
-				if !m.schedWordMixed[w] {
-					// Opcode-uniform word: every remaining candidate
-					// hits the same exhausted port class (ready or not,
-					// none can dispatch this cycle), so retain the
-					// remainder wholesale — the unvisited awake bits and
-					// the still-pending deep sleepers. Skipped
-					// examinations are pure memo updates — timing-exact
-					// to defer.
-					kept += bits.OnesCount64(bm&(bm-1)) + bits.OnesCount64(deepPending)
-					wordPartial = true
-					break
-				}
-				continue
 			}
-			port, unit, cost, ok := m.pickPort(e.op, portBudget[:], now)
+			port, unit, cost, ok := m.pickPort(e.class, portBudget[:], now)
 			if !ok {
-				// Port-starved: probe again next time a candidate unit
-				// can be free. A cached-ready entry reaches this point
-				// without touching the ROB at all.
-				wk := m.nextPortFree(e.op, now)
-				m.portBlockedAt[e.op] = now + 1
-				m.portBlockedWake[e.op] = wk
-				e.wake = wk
-				kept++
-				if wk < newMin {
-					newMin = wk
-				}
-				if !m.schedWordMixed[w] {
-					kept += bits.OnesCount64(bm&(bm-1)) + bits.OnesCount64(deepPending)
-					wordPartial = true
-					break
-				}
+				blocked |= 1 << e.class
+				cand &^= m.schedReady[int(e.class)*nw+int(w)]
 				continue
 			}
 			if u == nil {
 				u = m.resolve(ref)
 			}
-
-			if u.in.Op == isa.Load {
-				res := m.hier.Access(now, int(ref.tid), u.in.Addr, false, u.in.Tag)
-				if res.Retry {
-					// MSHR file full: the load replays later. The issue
-					// slot and port bandwidth are consumed regardless.
-					u.retryAt = now + uint64(m.cfg.RetryDelay)
-					m.ctr.Inc(perfmon.ReplayedUops, int(ref.tid))
-					portBudget[port] -= cost
-					issued++
-					e.wake = u.retryAt
-					kept++
-					if e.wake < newMin {
-						newMin = e.wake
-					}
-					continue
-				}
-				u.doneAt = now + uint64(res.Latency)
-				m.bookAccess(int(ref.tid), res, false)
-				if m.cfg.MachineClearPenalty > 0 {
-					t := &m.threads[ref.tid]
-					t.inflightLoads[t.loadRecPos&7] = loadRec{ref: ref, line: u.in.Addr &^ 63}
-					t.loadRecPos++
-				}
-			} else if u.in.Op == isa.Prefetch {
-				// Non-binding software prefetch: the fill starts (or the
-				// hint is dropped when the MSHR file is full) but the µop
-				// itself completes at address-generation latency — it
-				// never blocks.
-				res := m.hier.Access(now, int(ref.tid), u.in.Addr, false, u.in.Tag)
-				if !res.Retry {
-					m.bookAccess(int(ref.tid), res, false)
-				}
-				u.doneAt = now + uint64(isa.SpecOf(isa.Prefetch).Latency)
-			} else {
-				u.doneAt = now + opLatency[u.in.Op]
-			}
-
-			u.issued = true
-			u.issueAt = now
-			u.port, u.unit = port, unit
-			if rec := opRecurrence[e.op]; rec > 1 {
-				m.unitNextFree[unit] = now + rec
-			}
+			// The issue slot and port bandwidth are consumed even by a
+			// load the MSHR file rejects.
 			portBudget[port] -= cost
 			issued++
+			if !m.execute(u, ref, port, unit, now) {
+				// The load replays from the wheel at its retry cycle.
+				m.schedSetReady(slot, e, false)
+				e.wake = u.retryAt
+				m.schedPlace(slot, e.wake)
+				continue
+			}
 			issuedBy[ref.tid]++
-			m.schedLive[w] &^= 1 << uint64(b)
+			m.schedSetReady(slot, e, false)
+			m.schedLive[w] &^= bit
 			m.threads[ref.tid].schedCount--
 			if u.nCons != 0 {
 				m.prodConsumers(u)
 			}
 		}
-		if !stopped && !wordPartial && deepPending != 0 {
-			// Deep sleepers younger than the last examined awake entry
-			// still occupy scan-window slots.
-			kept += bits.OnesCount64(deepPending)
-			// A dispatch above may have prodded a younger deep sleeper in
-			// this same word, giving it a finite wake the exact-min update
-			// below must see (the per-slot loop would have visited it).
-			if prodded := deepPending &^ m.schedDeep[w]; prodded != 0 {
-				for bm := prodded; bm != 0; bm &= bm - 1 {
-					slot := w<<6 | uint64(bits.TrailingZeros64(bm))
-					if wk := m.schedRing[slot].wake; wk < newMin {
-						newMin = wk
-					}
-				}
-			}
-		}
-		switch {
-		case wordPartial:
-			// The retained remainder may hold entries with wake bounds at
-			// or below now; re-examine the word next cycle.
-			if newMin > now+1 {
-				newMin = now + 1
-			}
-			m.schedMin[w] = newMin
-			if kept >= scanLimit {
-				stopped = true
-			}
-		case !stopped:
-			// The whole word was examined: its minimum wake is now exact.
-			// On an early stop the stale (lower) bound stays — wakes only
-			// rise, so it remains a valid lower bound.
-			m.schedMin[w] = newMin
+		kept += bits.OnesCount64(m.schedLive[w])
+		if kept >= scanLimit || issued >= width {
+			break
 		}
 	}
+	m.issueDone(issuedBy)
+}
 
+// issueDone books the cycle's dispatches and advances the ring head past
+// leading holes, so the span — and compaction pressure — tracks the live
+// window. Amortised O(1): head only moves forward.
+func (m *Machine) issueDone(issuedBy [NumContexts]uint64) {
 	for tid, n := range issuedBy {
 		if n != 0 {
 			m.ctr.Add(perfmon.IssuedUops, tid, n)
 		}
 	}
-
-	// Advance past leading holes so the span — and compaction pressure —
-	// tracks the live window. Amortised O(1): head only moves forward.
+	mask := uint64(len(m.schedRing) - 1)
 	for m.schedHead < m.schedTail {
 		slot := m.schedHead & mask
-		if m.schedLive[slot>>6]&(1<<(slot&63)) != 0 {
-			break
+		if rest := m.schedLive[slot>>6] >> (slot & 63); rest != 0 {
+			m.schedHead += uint64(bits.TrailingZeros64(rest))
+			return
 		}
-		m.schedHead++
+		m.schedHead += 64 - slot&63
 	}
+	m.schedHead = m.schedTail
+}
+
+// execute starts u on (port, unit) at cycle now and reports whether it
+// dispatched. A load the MSHR file rejects does not: it replays at
+// u.retryAt.
+func (m *Machine) execute(u *uop, ref uopRef, port isa.Port, unit isa.Unit, now uint64) bool {
+	switch u.in.Op {
+	case isa.Load:
+		res := m.hier.Access(now, int(ref.tid), u.in.Addr, false, u.in.Tag)
+		if res.Retry {
+			u.retryAt = now + uint64(m.cfg.RetryDelay)
+			m.ctr.Inc(perfmon.ReplayedUops, int(ref.tid))
+			return false
+		}
+		u.doneAt = now + uint64(res.Latency)
+		m.bookAccess(int(ref.tid), res, false)
+		if m.cfg.MachineClearPenalty > 0 {
+			t := &m.threads[ref.tid]
+			t.inflightLoads[t.loadRecPos&7] = loadRec{ref: ref, line: u.in.Addr &^ 63}
+			t.loadRecPos++
+		}
+	case isa.Prefetch:
+		// Non-binding software prefetch: the fill starts (or the hint is
+		// dropped when the MSHR file is full) but the µop itself
+		// completes at address-generation latency — it never blocks.
+		res := m.hier.Access(now, int(ref.tid), u.in.Addr, false, u.in.Tag)
+		if !res.Retry {
+			m.bookAccess(int(ref.tid), res, false)
+		}
+		u.doneAt = now + uint64(isa.SpecOf(isa.Prefetch).Latency)
+	default:
+		u.doneAt = now + opLatency[u.in.Op]
+	}
+	u.issued = true
+	u.issueAt = now
+	u.port, u.unit = port, unit
+	if rec := opRecurrence[u.in.Op]; rec > 1 {
+		m.unitNextFree[unit] = now + rec
+	}
+	return true
 }
 
 // Dependence examination outcomes beyond plain settled/unsettled, used to
@@ -573,9 +581,11 @@ func (m *Machine) depSettled(r *uopRef, consumer *uop, consRef uopRef, bit uint8
 
 // prodConsumers wakes the registered consumers of a µop that just
 // dispatched: each gets its readyAt raised to the producer's completion
-// time and its scheduler entry re-armed to examine at that cycle. The
+// time and its scheduler entry re-filed in the wheel at that cycle. The
 // slot is validated against the consumer's reference, so a recycled or
-// compacted ring can never be corrupted by a stale prod.
+// compacted ring can never be corrupted by a stale prod. A registered
+// consumer is never ready (its dependence on p is still open), so the
+// entry is a deep or timed sleeper, or due.
 func (m *Machine) prodConsumers(p *uop) {
 	for i := 0; i < int(p.nCons); i++ {
 		ref := p.cons[i]
@@ -588,16 +598,15 @@ func (m *Machine) prodConsumers(p *uop) {
 		}
 		slot := uint64(c.schedSlot)
 		e := &m.schedRing[slot]
-		if e.ref == ref {
+		if e.ref == ref && !e.ready {
 			// readyAt is always a valid wake bound for an unissued µop,
 			// so set it unconditionally — raising a deep-asleep entry's
-			// sentinel down, or a stale-low poll bound up.
+			// sentinel down, or a stale-low poll bound up. It lies past
+			// now, so a due entry leaves the due set; a bucket bit it
+			// already holds at most re-examines it early.
 			e.wake = c.readyAt
-			w := slot >> 6
-			m.schedDeep[w] &^= 1 << (slot & 63)
-			if c.readyAt < m.schedMin[w] {
-				m.schedMin[w] = c.readyAt
-			}
+			m.schedDue[slot>>6] &^= 1 << (slot & 63)
+			m.schedPlace(slot, e.wake)
 		}
 	}
 	p.nCons = 0
@@ -632,18 +641,18 @@ func unissuedBound(p *uop, now uint64) uint64 {
 	return earliest + lat
 }
 
-// pickPort selects an issue port for a µop of opcode op honouring
+// pickPort selects an issue port for a µop of port class c honouring
 // per-cycle half-slot budgets and unit initiation intervals. cost is 1
 // half-slot for double-speed ALU µops, 2 (the full port) otherwise.
-func (m *Machine) pickPort(op isa.Op, portBudget []int, now uint64) (isa.Port, isa.Unit, int, bool) {
-	for _, c := range opPorts[op] {
-		if portBudget[c.port] < c.cost {
+func (m *Machine) pickPort(c uint8, portBudget []int, now uint64) (isa.Port, isa.Unit, int, bool) {
+	for _, pc := range classPorts[c] {
+		if portBudget[pc.port] < pc.cost {
 			continue
 		}
-		if m.unitNextFree[c.unit] > now {
+		if m.unitNextFree[pc.unit] > now {
 			continue
 		}
-		return c.port, c.unit, c.cost, true
+		return pc.port, pc.unit, pc.cost, true
 	}
 	return isa.PortNone, isa.UnitNone, 0, false
 }

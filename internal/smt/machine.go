@@ -101,45 +101,40 @@ type Machine struct {
 	// The scheduler window is a power-of-two ring of generation-checked
 	// µop references in allocation-age order, indexed by the absolute
 	// counters schedHead/schedTail (slot = counter & mask). Occupancy is
-	// bit-packed: schedLive holds one bit per slot, scanned a uint64 word
-	// at a time with math/bits, and schedMin caches a per-word lower
-	// bound on the earliest wake cycle of the word's live entries, so the
-	// per-cycle select skips whole words of provably-sleeping µops with a
-	// single compare instead of a per-slot dependence walk. Wake bounds
-	// are scan-private bookkeeping (never serialized): a too-low bound
-	// only costs a harmless re-examination, never a timing change.
-	schedRing    []schedEntry
-	schedScratch []schedEntry
-	schedLive    []uint64
-	schedMin     []uint64
-	// schedDeep marks live entries whose wake bound is schedAsleep: they
-	// re-arm only via a producer's dispatch prod, so the scan retains
-	// them wholesale by popcount (in age order, interleaved with the
-	// awake entries) instead of visiting each bit.
-	schedDeep []uint64
-	schedHead uint64
-	schedTail uint64
+	// bit-packed: schedLive holds one bit per slot. The select visits
+	// only the entries that can act, found through two more bitmaps over
+	// the same slots, each a subset of schedLive:
+	//   - schedDue: entries to examine this cycle — freshly allocated
+	//     ones whose wake bound has passed, wheel entries whose wake
+	//     cycle has come, and stale ones to reap;
+	//   - schedReady: entries that passed uopReady and wait only for a
+	//     port, one bitmap per port class (class-major, len(schedLive)
+	//     words each), with their union in schedReadyAll.
+	// Every other live entry sleeps: until its wake cycle in the wheel,
+	// or, when every open producer will prod it on dispatch, in no set
+	// at all. Wake bounds and set membership are scan-private
+	// bookkeeping (never serialized): a too-early examination only costs
+	// a harmless re-check, never a timing change.
+	schedRing     []schedEntry
+	schedScratch  []schedEntry
+	schedLive     []uint64
+	schedDue      []uint64
+	schedReady    []uint64
+	schedReadyAll []uint64
+	schedHead     uint64
+	schedTail     uint64
 
-	// schedWordOp/schedWordMixed summarise the opcodes of each bitmap
-	// word's live entries: while a word stays opcode-uniform (the common
-	// case for the paper's homogeneous streams), a port-exhaustion memo
-	// hit lets the scan retain the word's whole remainder with one
-	// popcount instead of visiting every ready-but-starved entry.
-	// Mixedness is sticky until the word empties or compaction rebuilds.
-	schedWordOp    []isa.Op
-	schedWordMixed []bool
+	// The wake wheel files timed sleepers by wake cycle: bucket
+	// c%wheelSlots holds the slots (len(schedLive) words per bucket,
+	// bucket-major) due at cycle c, for c in [wheelAt, wheelAt+wheelSlots).
+	// wheelOcc marks the buckets that may hold a bit. issue drains the
+	// buckets up to the current cycle into schedDue first thing, so a
+	// span skipped by ffSkip is caught up in one pass.
+	wheel    []uint64
+	wheelOcc uint64
+	wheelAt  uint64
 
 	unitNextFree [isa.NumUnits]uint64
-
-	// Per-cycle port-starvation memo keyed by opcode: when pickPort has
-	// already failed for an opcode this cycle (portBlockedAt[op] ==
-	// cycle+1), every later same-class candidate fails too — budgets
-	// only decrease and initiation intervals only grow within a cycle —
-	// so the scan reuses the recorded wake bound without re-probing.
-	// Cleared by schedReset: a restore may rewind the cycle counter,
-	// which would otherwise let a stale marker collide.
-	portBlockedAt   [isa.NumOps]uint64
-	portBlockedWake [isa.NumOps]uint64
 
 	// cellWait attributes wait cycles (spinning, draining-to-halt or
 	// halted) to the synchronisation cell being awaited — the
@@ -211,16 +206,14 @@ func New(cfg Config) *Machine {
 	for schedCap < 4*cfg.SchedWindow {
 		schedCap <<= 1
 	}
+	nw := schedCap / 64
 	m.schedRing = make([]schedEntry, schedCap)
 	m.schedScratch = make([]schedEntry, schedCap)
-	m.schedLive = make([]uint64, schedCap/64)
-	m.schedMin = make([]uint64, schedCap/64)
-	m.schedDeep = make([]uint64, schedCap/64)
-	m.schedWordOp = make([]isa.Op, schedCap/64)
-	m.schedWordMixed = make([]bool, schedCap/64)
-	for i := range m.schedMin {
-		m.schedMin[i] = ^uint64(0)
-	}
+	m.schedLive = make([]uint64, nw)
+	m.schedDue = make([]uint64, nw)
+	m.schedReady = make([]uint64, len(classPorts)*nw)
+	m.schedReadyAll = make([]uint64, nw)
+	m.wheel = make([]uint64, wheelSlots*nw)
 	for i := range m.threads {
 		m.threads[i] = thread{id: i, rob: newROB(cfg.ROB)}
 	}

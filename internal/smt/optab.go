@@ -1,6 +1,10 @@
 package smt
 
-import "smtexplore/internal/isa"
+import (
+	"slices"
+
+	"smtexplore/internal/isa"
+)
 
 // Flattened per-opcode execution tables. isa.SpecOf returns the full Spec
 // struct by value (ports slice, port→unit table, latencies) — fine for
@@ -11,6 +15,13 @@ var (
 	opLatency    [isa.NumOps]uint64
 	opRecurrence [isa.NumOps]uint64
 	opPorts      [isa.NumOps][]portCand
+
+	// opClass groups the opcodes into port classes: opcodes with the
+	// same candidate list contend for exactly the same ports and units,
+	// so once pickPort fails for one of them in a cycle it fails for the
+	// whole class. classPorts is each class's candidate list.
+	opClass    [isa.NumOps]uint8
+	classPorts [][]portCand
 )
 
 // portCand is one (port, unit, cost) issue choice for an opcode, in
@@ -35,5 +46,14 @@ func init() {
 			}
 			opPorts[op] = append(opPorts[op], portCand{port: p, unit: unit, cost: cost})
 		}
+		c := slices.IndexFunc(classPorts, func(ports []portCand) bool { return slices.Equal(ports, opPorts[op]) })
+		if c < 0 {
+			c = len(classPorts)
+			classPorts = append(classPorts, opPorts[op])
+		}
+		opClass[op] = uint8(c)
+	}
+	if len(classPorts) > 32 {
+		panic("smt: more port classes than the issue stage's blocked mask holds")
 	}
 }

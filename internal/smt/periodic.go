@@ -281,7 +281,7 @@ func (m *Machine) periodicJump(bound uint64) bool {
 }
 
 // schedRebuild re-inserts the live scheduler entries in age order with
-// wake bound 0 and cleared port memos — the scheduler state Restore
+// wake bound 0, all due and none ready — the scheduler state Restore
 // builds from a snapshot.
 func (m *Machine) schedRebuild() {
 	mask := uint64(len(m.schedRing) - 1)
@@ -297,11 +297,7 @@ func (m *Machine) schedRebuild() {
 	// At most the live bound is inserted, below the compaction
 	// threshold, so schedInsert never reuses schedScratch underneath.
 	for _, e := range m.schedScratch[:n] {
-		op := e.op
-		if m.resolve(e.ref) == nil {
-			op = 0
-		}
-		m.schedInsert(e.ref, op, 0)
+		m.schedInsert(e.ref, e.class, 0)
 	}
 }
 

@@ -288,11 +288,11 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.schedReset()
 	for _, r := range s.Sched {
 		ref := r.ref()
-		var op isa.Op
+		var class uint8
 		if u := m.resolve(ref); u != nil {
-			op = u.in.Op
+			class = opClass[u.in.Op]
 		}
-		m.schedInsert(ref, op, 0)
+		m.schedInsert(ref, class, 0)
 	}
 	m.unitNextFree = s.UnitNextFree
 	m.lastRetireCycle = s.LastRetire
@@ -352,7 +352,7 @@ func (m *Machine) RunPausable(maxCycles, pauseEvery uint64, pause func() bool) (
 			// Whole periods of a proven steady state (periodic.go).
 			continue
 		}
-		if m.ff && m.armed&armCycle == 0 && !debugNoWake && m.cycle >= m.ffNextTry {
+		if m.ff && m.armed&armCycle == 0 && m.cycle >= m.ffNextTry {
 			// Event-driven skip over quiet cycles (fastforward.go).
 			if m.ffSkip(m.runBound(start, maxCycles, nextPause)) {
 				continue

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"smtexplore/internal/isa"
+	"smtexplore/internal/kernels"
 	"smtexplore/internal/perfmon"
 	"smtexplore/internal/streams"
 	"smtexplore/internal/trace"
@@ -133,6 +134,35 @@ func BenchmarkStreamCell(b *testing.B) {
 				bc.cell.load(m)
 				if _, err := m.Run(60_000); err != nil {
 					b.Fatal(err)
+				}
+				m.Close()
+			}
+		})
+	}
+}
+
+// BenchmarkKernelCell measures whole kernel cells of the sim-kernels
+// block as the experiments layer runs them — the kernel machine, run to
+// completion — one op per cell. Kernel cells step every cycle, so the
+// issue stage's select sets their cost.
+func BenchmarkKernelCell(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		build func() (programmer, error)
+		mode  kernels.Mode
+	}{
+		{"mm-16-tlp-fine", mm16, kernels.TLPFine},
+		{"lu-32-tlp-coarse", lu32, kernels.TLPCoarse},
+		{"cg-24-serial", cg24, kernels.Serial},
+		{"bt-3-tlp-coarse", bt3, kernels.TLPCoarse},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := New(kernelConfig())
+				loadKernel(b, m, bc.build, bc.mode)
+				if res, err := m.Run(0); err != nil || !res.Completed {
+					b.Fatalf("run: completed=%v err=%v", res.Completed, err)
 				}
 				m.Close()
 			}

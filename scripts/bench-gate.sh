@@ -36,6 +36,7 @@ run_benches() (
 		go test -run '^$' -bench 'BenchmarkSimRate$|BenchmarkStepCompute|BenchmarkStepObserver|BenchmarkStepMemBound' \
 			-benchtime 300000x ./internal/smt
 		go test -run '^$' -bench 'BenchmarkStreamCell' -benchtime 10x ./internal/smt
+		go test -run '^$' -bench 'BenchmarkKernelCell' -benchtime 5x ./internal/smt
 	done
 )
 

@@ -27,6 +27,7 @@ for _pass in 1 2 3; do
 	go test -run '^$' -bench 'BenchmarkSimRate$|BenchmarkStepCompute|BenchmarkStepObserver|BenchmarkStepMemBound' \
 		-benchtime 300000x ./internal/smt | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkStreamCell' -benchtime 10x ./internal/smt | tee -a "$tmp"
+	go test -run '^$' -bench 'BenchmarkKernelCell' -benchtime 5x ./internal/smt | tee -a "$tmp"
 done
 
 go run ./cmd/benchgate record \
