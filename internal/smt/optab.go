@@ -14,12 +14,11 @@ import (
 var (
 	opLatency    [isa.NumOps]uint64
 	opRecurrence [isa.NumOps]uint64
-	opPorts      [isa.NumOps][]portCand
 
 	// opClass groups the opcodes into port classes: opcodes with the
-	// same candidate list contend for exactly the same ports and units,
-	// so once pickPort fails for one of them in a cycle it fails for the
-	// whole class. classPorts is each class's candidate list.
+	// same port-candidate list contend for exactly the same ports and
+	// units, so once pickPort fails for one of them in a cycle it fails
+	// for the whole class. classPorts is each class's candidate list.
 	opClass    [isa.NumOps]uint8
 	classPorts [][]portCand
 )
@@ -38,18 +37,19 @@ func init() {
 		spec := isa.SpecOf(isa.Op(op))
 		opLatency[op] = uint64(spec.Latency)
 		opRecurrence[op] = uint64(spec.Recurrence)
+		var ports []portCand
 		for _, p := range spec.Ports {
 			unit := spec.UnitFor[p]
 			cost := 1
 			if isa.PortWidth(p, unit) < 2 {
 				cost = 2
 			}
-			opPorts[op] = append(opPorts[op], portCand{port: p, unit: unit, cost: cost})
+			ports = append(ports, portCand{port: p, unit: unit, cost: cost})
 		}
-		c := slices.IndexFunc(classPorts, func(ports []portCand) bool { return slices.Equal(ports, opPorts[op]) })
+		c := slices.IndexFunc(classPorts, func(cp []portCand) bool { return slices.Equal(cp, ports) })
 		if c < 0 {
 			c = len(classPorts)
-			classPorts = append(classPorts, opPorts[op])
+			classPorts = append(classPorts, ports)
 		}
 		opClass[op] = uint8(c)
 	}
