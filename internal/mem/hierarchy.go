@@ -143,6 +143,12 @@ type streamState struct {
 	live   bool
 }
 
+// pendingFillHint sizes pendingFill above the most fills in flight that
+// the kernel cells keep (85, bt-3-tlp-coarse). A Go map that fills up
+// under deletes grows at a point that depends on its random hash seed,
+// so a smaller map made a cell's allocation count vary from run to run.
+const pendingFillHint = 128
+
 // NewHierarchy builds the memory system; it panics on invalid
 // configuration.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
@@ -155,7 +161,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		l2:          NewCache(cfg.L2),
 		mshrs:       make([]mshr, cfg.MSHRs),
 		tagL2Miss:   make(map[isa.Tag]uint64),
-		pendingFill: make(map[uint64]uint64),
+		pendingFill: make(map[uint64]uint64, pendingFillHint),
 	}
 }
 

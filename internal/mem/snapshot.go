@@ -160,7 +160,7 @@ func (h *Hierarchy) SetState(s HierarchyState) error {
 	h.prefUseful = s.PrefUseful
 	h.prefLate = s.PrefLate
 	h.prefSkipped = s.PrefSkipped
-	h.pendingFill = make(map[uint64]uint64, len(s.PendingFill))
+	h.pendingFill = make(map[uint64]uint64, max(len(s.PendingFill), pendingFillHint))
 	for k, v := range s.PendingFill {
 		h.pendingFill[k] = v
 	}

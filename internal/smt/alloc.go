@@ -39,12 +39,12 @@ func (m *Machine) allocate() {
 
 		switch in.Op {
 		case isa.SpinWait:
-			if m.cellHolds(*in) {
+			if m.cellHolds(in) {
 				m.finishSpin(t, now)
 				continue
 			}
 			t.spinning = true
-			n, ok := m.injectSpinIteration(t, *in, now, budget)
+			n, ok := m.injectSpinIteration(t, in, now, budget)
 			budget -= n
 			if !ok {
 				return
@@ -52,7 +52,7 @@ func (m *Machine) allocate() {
 			continue
 
 		case isa.HaltWait:
-			if m.cellHolds(*in) {
+			if m.cellHolds(in) {
 				// Condition already true: no halt happens, no penalty.
 				t.pendingValid = false
 				continue
@@ -61,7 +61,7 @@ func (m *Machine) allocate() {
 			return
 
 		case isa.Pause:
-			u, ok := m.allocSimple(t, *in, now, false)
+			u, ok := m.allocSimple(t, in, now, false)
 			if !ok {
 				return
 			}
@@ -72,7 +72,7 @@ func (m *Machine) allocate() {
 			budget--
 
 		case isa.Nop:
-			u, ok := m.allocSimple(t, *in, now, false)
+			u, ok := m.allocSimple(t, in, now, false)
 			if !ok {
 				return
 			}
@@ -82,7 +82,7 @@ func (m *Machine) allocate() {
 			budget--
 
 		default:
-			if !m.allocExec(t, *in, now, false) {
+			if !m.allocExec(t, in, now, false) {
 				return
 			}
 			t.pendingValid = false
@@ -112,44 +112,42 @@ func (m *Machine) allocPick(pref int) *thread {
 	return nil
 }
 
-// peekInstr exposes the next unallocated instruction of t, fetching from
-// the stream into the pending slot as needed. The returned pointer is
-// into t.pending and is valid until the instruction is consumed.
+// peekInstr exposes the next unallocated instruction of t, fetching it
+// from the stream as needed. The returned pointer is t.pending and is
+// valid until the instruction is consumed.
 func (m *Machine) peekInstr(t *thread) (*isa.Instr, bool) {
 	if !t.pendingValid {
-		in, ok := t.stream.Next()
+		in, ok := t.stream.NextRef()
 		if !ok {
 			return nil, false
 		}
 		t.pending = in
 		t.pendingValid = true
 	}
-	return &t.pending, true
+	return t.pending, true
 }
 
 // allocSimple claims a ROB slot for a non-scheduled µop (nop/pause and
 // spin-injected branches go through here too, via allocExec for the
 // latter). It returns false without consuming the instruction when the
 // ROB partition is full.
-func (m *Machine) allocSimple(t *thread, in isa.Instr, now uint64, spin bool) (*uop, bool) {
+func (m *Machine) allocSimple(t *thread, in *isa.Instr, now uint64, spin bool) (*uop, bool) {
 	if t.rob.count >= m.limROB {
 		m.ctr.Inc(perfmon.ROBStallCycles, t.id)
 		return nil, false
 	}
-	u, ref, ok := t.rob.push()
+	u, _, ok := t.rob.push()
 	if !ok {
 		// Occupancy is bounded by limit() ≤ capacity, so a failed push is
 		// a simulator invariant violation, not a workload condition.
 		panic(fmt.Sprintf("smt: ROB ring overflow on context %d", t.id))
 	}
-	ref.tid = int8(t.id)
 	m.seq++
-	u.in = in
+	u.in = *in
 	u.seq = m.seq
 	u.spin = spin
 	u.allocAt = now
 	u.issueAt = now
-	_ = ref
 	return u, true
 }
 
@@ -157,7 +155,7 @@ func (m *Machine) allocSimple(t *thread, in isa.Instr, now uint64, spin bool) (*
 // and a load/store-queue entry for memory operations, recording dataflow
 // dependences against the architectural register file. It returns false
 // (and books the blocking stall event) when any resource is exhausted.
-func (m *Machine) allocExec(t *thread, in isa.Instr, now uint64, spin bool) bool {
+func (m *Machine) allocExec(t *thread, in *isa.Instr, now uint64, spin bool) bool {
 	if t.rob.count >= m.limROB {
 		m.ctr.Inc(perfmon.ROBStallCycles, t.id)
 		return false
@@ -183,7 +181,7 @@ func (m *Machine) allocExec(t *thread, in isa.Instr, now uint64, spin bool) bool
 	}
 	ref.tid = int8(t.id)
 	m.seq++
-	u.in = in
+	u.in = *in
 	u.seq = m.seq
 	u.spin = spin
 	u.allocAt = now
@@ -219,7 +217,7 @@ func (m *Machine) allocExec(t *thread, in isa.Instr, now uint64, spin bool) bool
 		// dispatch: it can sleep from birth with no wake bound at all.
 		wake = schedAsleep
 	}
-	m.schedInsert(ref, opClass[in.Op], wake)
+	m.schedInsert(u, ref, opClass[in.Op], wake)
 	return true
 }
 
@@ -258,24 +256,24 @@ func (m *Machine) captureDep(r uopRef, consumer *uop, consRef uopRef, bit uint8)
 // recommends — a pause that throttles further allocation. It returns the
 // number of µops allocated and whether the front end may continue this
 // cycle.
-func (m *Machine) injectSpinIteration(t *thread, in isa.Instr, now uint64, budget int) (int, bool) {
+func (m *Machine) injectSpinIteration(t *thread, in *isa.Instr, now uint64, budget int) (int, bool) {
 	if budget < 2 {
 		return 0, false
 	}
 	ld := isa.Instr{Op: isa.Load, Dst: spinReg, Addr: isa.CellAddr(in.Cell)}
-	if !m.allocExec(t, ld, now, true) {
+	if !m.allocExec(t, &ld, now, true) {
 		return 0, false
 	}
 	n := 1
 	br := isa.Instr{Op: isa.Branch}
-	if m.allocExec(t, br, now, true) {
+	if m.allocExec(t, &br, now, true) {
 		n++
 	}
 	if in.UsePause {
 		if budget-n < 1 {
 			return n, false
 		}
-		u, ok := m.allocSimple(t, isa.Instr{Op: isa.Pause}, now, true)
+		u, ok := m.allocSimple(t, &isa.Instr{Op: isa.Pause}, now, true)
 		if !ok {
 			return n, false
 		}

@@ -37,10 +37,11 @@ const schedAsleep = ^uint64(0)
 // parked at the horizon and re-filed from there.
 const wheelSlots = 64
 
-// schedInsert appends a reference to the scheduler ring in allocation
-// order. wake is the entry's initial wake bound (the consumer's readyAt
-// memo captured at allocation) and class the µop's port class.
-func (m *Machine) schedInsert(ref uopRef, class uint8, wake uint64) {
+// schedInsert appends the reference of µop u (nil when the reference is
+// stale) to the scheduler ring in allocation order. wake is the entry's
+// initial wake bound (the consumer's readyAt memo captured at
+// allocation) and class the µop's port class.
+func (m *Machine) schedInsert(u *uop, ref uopRef, class uint8, wake uint64) {
 	// Compact one bitmap word short of capacity: the scan walks
 	// 64-aligned absolute windows, and keeping the span under
 	// capacity-64 guarantees no two windows alias the same physical
@@ -51,7 +52,7 @@ func (m *Machine) schedInsert(ref uopRef, class uint8, wake uint64) {
 	}
 	slot := m.schedTail & uint64(len(m.schedRing)-1)
 	m.schedRing[slot] = schedEntry{ref: ref, class: class, wake: wake}
-	if u := m.resolve(ref); u != nil {
+	if u != nil {
 		u.schedSlot = uint32(slot)
 	}
 	m.schedLive[slot>>6] |= 1 << (slot & 63)
@@ -384,15 +385,21 @@ scan:
 					m.schedPlace(slot, e.wake)
 					continue
 				}
-				m.schedSetReady(slot, e, true)
 				if blocked&(1<<e.class) != 0 {
+					m.schedSetReady(slot, e, true)
 					continue
 				}
 			}
+			// A due entry found ready probes a port first and joins its
+			// class's ready bitmap only if the probe fails: one that
+			// dispatches at once never enters the set.
 			port, unit, cost, ok := m.pickPort(e.class, portBudget[:], now)
 			if !ok {
 				blocked |= 1 << e.class
 				cand &^= m.schedReady[int(e.class)*nw+int(w)]
+				if !e.ready {
+					m.schedSetReady(slot, e, true)
+				}
 				continue
 			}
 			if u == nil {
@@ -402,15 +409,16 @@ scan:
 			// load the MSHR file rejects.
 			portBudget[port] -= cost
 			issued++
+			if e.ready {
+				m.schedSetReady(slot, e, false)
+			}
 			if !m.execute(u, ref, port, unit, now) {
 				// The load replays from the wheel at its retry cycle.
-				m.schedSetReady(slot, e, false)
 				e.wake = u.retryAt
 				m.schedPlace(slot, e.wake)
 				continue
 			}
 			issuedBy[ref.tid]++
-			m.schedSetReady(slot, e, false)
 			m.schedLive[w] &^= bit
 			m.threads[ref.tid].schedCount--
 			if u.nCons != 0 {

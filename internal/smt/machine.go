@@ -39,15 +39,23 @@ type thread struct {
 	stream  *trace.Stream
 	started bool
 
-	pending      isa.Instr
-	pendingValid bool
+	// pending is the instruction fetched last, inside the stream's
+	// buffer (or restored, pointing at restoredPending); pendingValid
+	// reports that it has not been consumed yet. Allocation copies it
+	// into the ROB once, straight from the stream.
+	pending         *isa.Instr
+	pendingValid    bool
+	restoredPending isa.Instr
 
-	rob *rob
+	rob rob
 	ldq int
 	stq int
 	// stqFree holds completion times of stores draining to cache after
 	// retirement; the store-buffer entry is released only then.
+	// stqNext is a lower bound on the earliest of them, so housekeep
+	// leaves the list alone until a drain can have completed.
 	stqFree []uint64
+	stqNext uint64
 	// schedCount is this context's occupancy of the scheduler window.
 	schedCount int
 
@@ -161,11 +169,13 @@ type Machine struct {
 	// the slow path is exact. Not serialized; purely a scan throttle.
 	ffNextTry uint64
 
-	// Partition limits for the current cycle, refreshed after housekeep
-	// (the only stage that changes runnable/halted state) so the
-	// allocator's repeated occupancy probes avoid re-deriving the
-	// dual-thread mode on every µop.
+	// Partition limits for the current cycle, re-derived after housekeep
+	// (the only stage that changes runnable/halted state) only when
+	// limStale marks a change of some context's runnable state, so
+	// neither the allocator's occupancy probes nor the cycle loop
+	// re-derive the dual-thread mode otherwise.
 	limROB, limSched, limLDQ, limSTQ int
+	limStale                         bool
 
 	// lastRetireCycle backs the deadlock watchdog.
 	lastRetireCycle uint64
@@ -214,8 +224,11 @@ func New(cfg Config) *Machine {
 	m.schedReady = make([]uint64, len(classPorts)*nw)
 	m.schedReadyAll = make([]uint64, nw)
 	m.wheel = make([]uint64, wheelSlots*nw)
+	m.limStale = true
 	for i := range m.threads {
-		m.threads[i] = thread{id: i, rob: newROB(cfg.ROB)}
+		t := &m.threads[i]
+		*t = thread{id: i, rob: newROB(cfg.ROB)}
+		t.pending = &t.restoredPending
 	}
 	return m
 }
@@ -240,7 +253,7 @@ func (m *Machine) LoadProgram(tid int, p trace.Program) {
 
 // LoadStream binds an already-constructed instruction stream to logical
 // processor tid — the entry point for slice-backed loop streams
-// (trace.NewLoop), which bypass the generator goroutine entirely.
+// (trace.LoopBody), which bypass the generator goroutine entirely.
 func (m *Machine) LoadStream(tid int, s *trace.Stream) {
 	t := m.thread(tid)
 	if t.started {
@@ -248,6 +261,7 @@ func (m *Machine) LoadStream(tid int, s *trace.Stream) {
 	}
 	t.stream = s
 	t.started = true
+	m.limStale = true
 }
 
 func (m *Machine) thread(tid int) *thread {
@@ -406,8 +420,21 @@ func (m *Machine) limit(total int) int {
 	return total
 }
 
+// refreshLimits re-derives the partition limits if a context's runnable
+// state changed since they were last derived.
+func (m *Machine) refreshLimits() {
+	if !m.limStale {
+		return
+	}
+	m.limStale = false
+	m.limROB = m.limit(m.cfg.ROB)
+	m.limSched = m.limit(m.cfg.SchedWindow)
+	m.limLDQ = m.limit(m.cfg.LoadQ)
+	m.limSTQ = m.limit(m.cfg.StoreQ)
+}
+
 // cellHolds evaluates a wait predicate against the current cell state.
-func (m *Machine) cellHolds(in isa.Instr) bool {
+func (m *Machine) cellHolds(in *isa.Instr) bool {
 	return in.Cmp.Holds(m.cells[in.Cell], in.Val)
 }
 
@@ -416,10 +443,7 @@ func (m *Machine) cellHolds(in isa.Instr) bool {
 // one-cycle delay.
 func (m *Machine) Step() {
 	m.housekeep()
-	m.limROB = m.limit(m.cfg.ROB)
-	m.limSched = m.limit(m.cfg.SchedWindow)
-	m.limLDQ = m.limit(m.cfg.LoadQ)
-	m.limSTQ = m.limit(m.cfg.StoreQ)
+	m.refreshLimits()
 	m.retire()
 	m.issue()
 	m.allocate()
@@ -438,16 +462,18 @@ func (m *Machine) housekeep() {
 		t := &m.threads[i]
 
 		// Release drained store-buffer entries.
-		if len(t.stqFree) != 0 {
+		if len(t.stqFree) != 0 && t.stqNext <= now {
 			kept := t.stqFree[:0]
+			next := ^uint64(0)
 			for _, at := range t.stqFree {
 				if at <= now {
 					t.stq--
 				} else {
 					kept = append(kept, at)
+					next = min(next, at)
 				}
 			}
-			t.stqFree = kept
+			t.stqFree, t.stqNext = kept, next
 		}
 
 		// A halting context becomes halted once its pipeline drains;
@@ -455,6 +481,7 @@ func (m *Machine) housekeep() {
 		if t.halting && t.drained() {
 			t.halting = false
 			t.halted = true
+			m.limStale = true
 		}
 
 		// A halted context wakes when its awaited condition holds: the
@@ -467,6 +494,7 @@ func (m *Machine) housekeep() {
 			}
 			if t.wakeAt != 0 && now >= t.wakeAt {
 				t.halted = false
+				m.limStale = true
 				t.wakeAt = 0
 				t.pendingValid = false // consume the HaltWait
 				m.ctr.Inc(perfmon.HaltTransitions, t.id)
@@ -480,6 +508,7 @@ func (m *Machine) housekeep() {
 		// Completion: stream exhausted, nothing pending, pipeline dry.
 		if t.started && !t.done && !t.pendingValid && t.stream.Done() && t.drained() {
 			t.done = true
+			m.limStale = true
 			t.stream.Close()
 		}
 	}

@@ -11,14 +11,17 @@ import (
 
 // Exact periodic skip.
 //
-// A machine whose every context runs a loop stream (trace.NewLoop) with
+// A machine whose every context runs a loop stream (trace.LoopBody) with
 // no memory traffic and no synchronisation is a deterministic function
 // of a finite state, so it settles into an exact cycle: run alone, the
 // paper's arithmetic streams repeat every 22–3,584 cycles. RunPausable
-// samples the state each time the context with the longest loop body
-// crosses a body boundary. The sample is an encoding of everything that decides
-// the future — the pipeline state Snapshot serialises minus counters and
-// sequence numbers — made translation-invariant: absolute cycles become
+// samples the state each time the lead context crosses a body boundary:
+// first the one with the longest loop body, then, once the other has
+// crossed two fewer bodies since the run began, the other, so a slow
+// partner sets the sampling rate. The sample is an encoding of
+// everything that decides the future — the pipeline state Snapshot
+// serialises minus counters and sequence numbers — made
+// translation-invariant: absolute cycles become
 // offsets from the current cycle, ROB and scheduler positions become
 // offsets from their heads, and generation-checked references reduce to
 // "in flight at this offset" or nil. A hash of the encoding nominates a
@@ -57,9 +60,11 @@ type periodic struct {
 	// on arms sampling for the current RunPausable call.
 	on bool
 	// lead is the stream whose body boundaries trigger samples; next is
-	// its instruction count at the next boundary.
-	lead *trace.Stream
-	next uint64
+	// its instruction count at the next boundary. armGen holds each
+	// stream's instruction count when sampling was armed.
+	lead   *trace.Stream
+	next   uint64
+	armGen [NumContexts]uint64
 	// quietUntil suppresses sampling after a jump up to the jump's bound:
 	// the remainder is shorter than one period.
 	quietUntil uint64
@@ -135,12 +140,38 @@ func (m *Machine) periodicArm() {
 	p.lead = nil
 	for i := range m.threads {
 		t := &m.threads[i]
-		if t.started && (p.lead == nil || t.stream.LoopLen() > p.lead.LoopLen()) {
+		if !t.started {
+			continue
+		}
+		p.armGen[i] = t.stream.Generated
+		if p.lead == nil || t.stream.LoopLen() > p.lead.LoopLen() {
 			p.lead = t.stream
 		}
 	}
 	p.next = p.nextBoundary()
 	p.on = true
+}
+
+// slowerStream returns the stream of a context that has crossed at
+// least two fewer bodies than the lead since sampling was armed, or nil.
+// Its boundaries come further apart, and a steady state recurs at them
+// just as at the lead's, so sampling there costs fewer samples per
+// period; the two-body margin keeps contexts that run at the same rate
+// from trading the lead back and forth.
+func (m *Machine) slowerStream() *trace.Stream {
+	p := &m.per
+	bodies := func(i int) uint64 {
+		s := m.threads[i].stream
+		return (s.Generated - p.armGen[i]) / uint64(s.LoopLen())
+	}
+	lead, other := 0, 1
+	if m.threads[1].stream == p.lead {
+		lead, other = 1, 0
+	}
+	if !m.threads[other].started || bodies(other)+2 > bodies(lead) {
+		return nil
+	}
+	return m.threads[other].stream
 }
 
 // nextBoundary returns the lead stream's instruction count at its next
@@ -164,6 +195,12 @@ func (m *Machine) periodicSample(bound uint64) bool {
 	p := &m.per
 	if !m.periodicEligible() {
 		p.on = false
+		return false
+	}
+	if s := m.slowerStream(); s != nil {
+		// Sample at the slower stream's boundaries from its next one on.
+		p.lead = s
+		p.next = p.nextBoundary()
 		return false
 	}
 	p.next = p.nextBoundary()
@@ -297,7 +334,7 @@ func (m *Machine) schedRebuild() {
 	// At most the live bound is inserted, below the compaction
 	// threshold, so schedInsert never reuses schedScratch underneath.
 	for _, e := range m.schedScratch[:n] {
-		m.schedInsert(e.ref, e.class, 0)
+		m.schedInsert(m.resolve(e.ref), e.ref, e.class, 0)
 	}
 }
 
@@ -322,7 +359,7 @@ func (m *Machine) periodicEncode(enc []uint64) []uint64 {
 			ahead(t.allocStallUntil, now), exact(t.wakeAt, now),
 			uint64(t.loadRecPos&7), uint64(len(t.stqFree)))
 		if t.pendingValid {
-			enc = appendInstr(enc, &t.pending, 0)
+			enc = appendInstr(enc, t.pending, 0)
 		}
 		for _, at := range t.stqFree {
 			enc = append(enc, ahead(at, now))
@@ -385,7 +422,7 @@ func (m *Machine) refCode(r uopRef) uint64 {
 	if r.gen == 0 {
 		return 0
 	}
-	rb := m.threads[r.tid].rob
+	rb := &m.threads[r.tid].rob
 	if rb.buf[r.idx].gen != r.gen {
 		return 0
 	}

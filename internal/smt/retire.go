@@ -31,7 +31,11 @@ func (m *Machine) retire() {
 					m.ctr.Inc(perfmon.MSHRRetryCycles, t.id)
 					break
 				}
-				t.stqFree = append(t.stqFree, now+uint64(res.Latency))
+				at := now + uint64(res.Latency)
+				if len(t.stqFree) == 0 || at < t.stqNext {
+					t.stqNext = at
+				}
+				t.stqFree = append(t.stqFree, at)
 				m.bookAccess(t.id, res, true)
 				if u.in.Op == isa.FlagStore {
 					m.cells[u.in.Cell] = u.in.Val

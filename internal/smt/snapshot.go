@@ -181,7 +181,7 @@ func (m *Machine) Snapshot() *Snapshot {
 			ts.StreamGenerated = t.stream.Generated
 			ts.StreamDone = t.stream.Done()
 		}
-		ts.Pending = t.pending
+		ts.Pending = *t.pending
 		ts.PendingValid = t.pendingValid
 		ts.ROB = make([]SnapUop, len(t.rob.buf))
 		for j := range t.rob.buf {
@@ -250,7 +250,8 @@ func (m *Machine) Restore(s *Snapshot) error {
 	for i := range m.threads {
 		t := &m.threads[i]
 		ts := &s.Threads[i]
-		t.pending = ts.Pending
+		t.restoredPending = ts.Pending
+		t.pending = &t.restoredPending
 		t.pendingValid = ts.PendingValid
 		for j := range t.rob.buf {
 			t.rob.buf[j] = ts.ROB[j].uop()
@@ -260,6 +261,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 		t.ldq = ts.LDQ
 		t.stq = ts.STQ
 		t.stqFree = append(t.stqFree[:0], ts.StqFree...)
+		t.stqNext = 0 // a lower bound; the next housekeep re-derives it
 		t.schedCount = ts.SchedCount
 		for r := range t.regPrev {
 			t.regPrev[r] = ts.RegPrev[r].ref()
@@ -275,6 +277,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 		t.wakeAt = ts.WakeAt
 		t.done = ts.Done
 	}
+	m.limStale = true
 	m.cycle = s.Cycle
 	m.seq = s.Seq
 	m.cells = make(map[isa.Cell]int64, len(s.Cells))
@@ -288,11 +291,12 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.schedReset()
 	for _, r := range s.Sched {
 		ref := r.ref()
+		u := m.resolve(ref)
 		var class uint8
-		if u := m.resolve(ref); u != nil {
+		if u != nil {
 			class = opClass[u.in.Op]
 		}
-		m.schedInsert(ref, class, 0)
+		m.schedInsert(u, ref, class, 0)
 	}
 	m.unitNextFree = s.UnitNextFree
 	m.lastRetireCycle = s.LastRetire

@@ -80,12 +80,12 @@ type rob struct {
 	count int
 }
 
-func newROB(capacity int) *rob {
+func newROB(capacity int) rob {
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	return &rob{buf: make([]uop, n), mask: n - 1}
+	return rob{buf: make([]uop, n), mask: n - 1}
 }
 
 // push allocates the next slot and returns it with its reference. The
@@ -140,10 +140,3 @@ func (r *rob) pop() {
 
 // at resolves a slot index to its µop.
 func (r *rob) at(idx int16) *uop { return &r.buf[idx] }
-
-// each visits the in-flight µops oldest-first.
-func (r *rob) each(fn func(*uop)) {
-	for i := 0; i < r.count; i++ {
-		fn(&r.buf[(r.head+i)&r.mask])
-	}
-}

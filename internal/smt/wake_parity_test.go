@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"testing"
 
@@ -175,7 +176,8 @@ func kernelCase(name string, cfg func() Config, build func() (programmer, error)
 // TestWakePruningParity locksteps two machines — one stepped by Step,
 // whose select visits only due and ready entries, one by refStep, which
 // examines every scheduler entry every cycle — and requires identical
-// occupancy and counters at every cycle. The select's pruning is a pure
+// occupancy and counters at every cycle, and consistent select sets on
+// the first (checkSchedSets). The select's pruning is a pure
 // scan optimisation; any divergence is a timing bug. The cases are
 // kernel cells (mm N=16 tlp-pfetch-work, and lu, cg and bt TLP cells of
 // the sim-kernels block), a memory stream pair, loads replaying against
@@ -234,6 +236,9 @@ func TestWakePruningParity(t *testing.T) {
 			hits := 0
 			for c := 0; c < maxCycles && !(a.Done() && b.Done()); c++ {
 				a.Step()
+				if err := checkSchedSets(a); err != nil {
+					t.Fatalf("cycle %d: %v\nsched=%s", c, err, dumpSched(a))
+				}
 				if refStep(b) {
 					hits++
 				}
@@ -255,6 +260,47 @@ func TestWakePruningParity(t *testing.T) {
 				ctr.Total(perfmon.IssuedUops), ctr.Total(perfmon.ReplayedUops))
 		})
 	}
+}
+
+// checkSchedSets checks the select's bitmaps against the scheduler ring
+// between cycles: every ready-bitmap bit matches its entry's ready flag
+// and port class, the union bitmap is the union, no entry is both due
+// and ready, and no dispatched or reaped entry — a slot outside
+// schedLive — is left in the due or ready sets. (The wheel may keep bits
+// of such slots; wheelDrain masks them with schedLive.)
+func checkSchedSets(m *Machine) error {
+	nw := len(m.schedLive)
+	for w := 0; w < nw; w++ {
+		live, due, all := m.schedLive[w], m.schedDue[w], m.schedReadyAll[w]
+		var union uint64
+		for c := range classPorts {
+			r := m.schedReady[c*nw+w]
+			if union&r != 0 {
+				return fmt.Errorf("word %d: slots %#x in two class ready sets", w, union&r)
+			}
+			union |= r
+		}
+		switch {
+		case union != all:
+			return fmt.Errorf("word %d: ready union %#x, class sets give %#x", w, all, union)
+		case (due|all)&^live != 0:
+			return fmt.Errorf("word %d: slots %#x not live but due or ready", w, (due|all)&^live)
+		case due&all != 0:
+			return fmt.Errorf("word %d: slots %#x both due and ready", w, due&all)
+		}
+		for v := live; v != 0; v &= v - 1 {
+			b := bits.TrailingZeros64(v)
+			e := &m.schedRing[w<<6|b]
+			inSet := all&(1<<b) != 0
+			if e.ready != inSet {
+				return fmt.Errorf("slot %d: ready=%v but ready-set bit %v", w<<6|b, e.ready, inSet)
+			}
+			if inSet && m.schedReady[int(e.class)*nw+w]&(1<<b) == 0 {
+				return fmt.Errorf("slot %d: ready in another class's set than its class %d", w<<6|b, e.class)
+			}
+		}
+	}
+	return nil
 }
 
 func dumpSched(m *Machine) string {

@@ -182,22 +182,23 @@ func Body(s Spec) []isa.Instr {
 	return trace.Collect(trace.Limit(Build(s), period))
 }
 
-// bodyCache memoises Body per spec: the bodies are immutable (Stream
-// serves them by value), so co-executed and repeated cells share one
-// allocation — memory-stream periods are tens of thousands of
-// instructions.
-var bodyCache sync.Map // Spec → []isa.Instr
+// bodyCache memoises Body per spec, validated once as a loop body: the
+// bodies are immutable (Stream serves them by value), so co-executed and
+// repeated cells share one allocation — memory-stream periods are tens
+// of thousands of instructions.
+var bodyCache sync.Map // Spec → trace.LoopBody
 
 // Open builds the endless instruction stream described by s as a
 // slice-backed loop stream, the fast equivalent of
-// trace.NewStream(Build(s)). Bodies are cached per spec and shared.
+// trace.NewStream(Build(s)). Bodies are built, validated and cached per
+// spec on first use and shared.
 func Open(s Spec) *trace.Stream {
 	if b, ok := bodyCache.Load(s); ok {
-		return trace.NewLoop(b.([]isa.Instr))
+		return b.(trace.LoopBody).Stream()
 	}
-	b := Body(s)
+	b := trace.NewLoopBody(Body(s))
 	bodyCache.Store(s, b)
-	return trace.NewLoop(b)
+	return b.Stream()
 }
 
 // Validate reports specification errors.

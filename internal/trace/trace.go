@@ -38,16 +38,16 @@ type Stream struct {
 	stop func()
 
 	// buf is the current batch on loan from the generator goroutine; the
-	// generator is suspended until the next pull, so reading (never
-	// retaining) it here is race-free even though the backing array is
-	// reused across batches.
+	// generator is suspended until the next pull, so reading it here, and
+	// lending pointers into it until the next pull (NextRef), is
+	// race-free even though the backing array is reused across batches.
 	buf []isa.Instr
 	pos int
 
 	// loop, when non-nil, is an endless cyclic program served straight
-	// from the slice (NewLoop): no generator goroutine, no per-batch
-	// hand-off — Next is an array index and a wrap test. buf/pos double
-	// as the cursor (buf == loop).
+	// from the slice (LoopBody.Stream): no generator goroutine, no
+	// per-batch hand-off — Next is an array index and a wrap test.
+	// buf/pos double as the cursor (buf == loop).
 	loop []isa.Instr
 
 	// Generated counts instructions pulled so far.
@@ -61,24 +61,33 @@ func NewStream(p Program) *Stream {
 	return &Stream{next: next, stop: stop}
 }
 
-// NewLoop builds the endless program that cycles through body, serving
-// instructions directly from the slice. It is observationally identical
-// to NewStream(Forever(<emit body>)) but removes the generator goroutine
-// and the per-instruction emit/validate path from the simulation loop —
-// the workload generators of this repository are all periodic, so their
-// streams collapse to one precomputed period. The body is validated here,
-// once, and must not be mutated afterwards (it may be shared across
-// streams).
-func NewLoop(body []isa.Instr) *Stream {
+// LoopBody is one period of an endless cyclic program, validated once
+// when it is made. Any number of loop streams may be opened over it and
+// share it: Stream serves the instructions straight from the slice. A
+// loop stream is observationally identical to NewStream(Forever(<emit
+// body>)) but removes the generator goroutine and the per-instruction
+// emit/validate path from the simulation loop — the workload generators
+// of this repository are all periodic, so their streams collapse to one
+// precomputed period.
+type LoopBody struct{ ins []isa.Instr }
+
+// NewLoopBody validates body, panicking on an empty body or an invalid
+// instruction. The body must not be mutated afterwards.
+func NewLoopBody(body []isa.Instr) LoopBody {
 	if len(body) == 0 {
-		panic("trace: NewLoop with empty body")
+		panic("trace: NewLoopBody with empty body")
 	}
 	for _, in := range body {
 		if err := in.Validate(); err != nil {
 			panic(fmt.Sprintf("trace: invalid loop-body instruction: %v", err))
 		}
 	}
-	return &Stream{loop: body, buf: body}
+	return LoopBody{ins: body}
+}
+
+// Stream opens an endless loop stream over the body.
+func (b LoopBody) Stream() *Stream {
+	return &Stream{loop: b.ins, buf: b.ins}
 }
 
 // batches regroups p into slices of at most n instructions, reusing one
@@ -108,22 +117,35 @@ func batches(p Program, n int) iter.Seq[[]isa.Instr] {
 
 // Next returns the next instruction, or ok=false at end of program.
 func (s *Stream) Next() (isa.Instr, bool) {
+	in, ok := s.NextRef()
+	if !ok {
+		return isa.Instr{}, false
+	}
+	return *in, true
+}
+
+// NextRef is Next without the copy: it returns a pointer to the next
+// instruction inside the stream's buffer. The instruction behind the
+// pointer stays unchanged until the following call to NextRef, Next or
+// Skip returns another instruction: a generator refills the buffer only
+// when it yields more, and a loop body is never written.
+func (s *Stream) NextRef() (*isa.Instr, bool) {
 	if s.pos >= len(s.buf) {
 		if s.loop != nil && !s.done {
 			s.pos = 0
 		} else {
 			if s.done {
-				return isa.Instr{}, false
+				return nil, false
 			}
 			b, ok := s.next()
 			if !ok {
 				s.done = true
-				return isa.Instr{}, false
+				return nil, false
 			}
 			s.buf, s.pos = b, 0
 		}
 	}
-	in := s.buf[s.pos]
+	in := &s.buf[s.pos]
 	s.pos++
 	s.Generated++
 	return in, true
@@ -151,7 +173,7 @@ func (s *Stream) Skip(n uint64) uint64 {
 // Done reports whether the program is exhausted.
 func (s *Stream) Done() bool { return s.done }
 
-// LoopLen returns the body length of a live NewLoop stream — the number
+// LoopLen returns the body length of a live loop stream — the number
 // of instructions after which it repeats exactly — and 0 for generated
 // or closed streams.
 func (s *Stream) LoopLen() int {

@@ -210,3 +210,60 @@ func TestRepeatCount_Property(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLoopBody: a body is validated once, when it is made — an invalid
+// one panics there — and every stream opened over it cycles through it.
+func TestLoopBody(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewLoopBody accepted a load without a destination")
+			}
+		}()
+		NewLoopBody([]isa.Instr{{Op: isa.Nop}, {Op: isa.Load}})
+	}()
+	body := NewLoopBody([]isa.Instr{{Op: isa.Nop}, {Op: isa.Branch}, {Op: isa.Pause}})
+	for k := 0; k < 2; k++ {
+		s := body.Stream()
+		for i := 0; i < 7; i++ {
+			in, ok := s.Next()
+			if want := body.ins[i%3]; !ok || in != want {
+				t.Fatalf("stream %d, instruction %d: %v, want %v", k, i, in, want)
+			}
+		}
+		if s.LoopLen() != 3 {
+			t.Errorf("LoopLen = %d, want 3", s.LoopLen())
+		}
+	}
+}
+
+// TestNextRefStable: NextRef serves a generator's instructions in order
+// across batch refills, and the call that finds the end leaves the last
+// instruction behind its pointer unchanged.
+func TestNextRefStable(t *testing.T) {
+	const n = 3*streamBatch + 5
+	p := Generate(func(e *Emitter) {
+		for i := 0; i < n; i++ {
+			e.Load(isa.R(1), uint64(i)*8)
+		}
+	})
+	s := NewStream(p)
+	defer s.Close()
+	var last *isa.Instr
+	for i := 0; ; i++ {
+		in, ok := s.NextRef()
+		if !ok {
+			if i != n {
+				t.Fatalf("stream ended after %d instructions, want %d", i, n)
+			}
+			if last.Addr != uint64(n-1)*8 {
+				t.Fatalf("last instruction changed to %v at the end", *last)
+			}
+			return
+		}
+		if in.Addr != uint64(i)*8 {
+			t.Fatalf("instruction %d = %v", i, *in)
+		}
+		last = in
+	}
+}
